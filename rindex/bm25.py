@@ -35,30 +35,3 @@ def norm_len_cache(avgdl: float, k1: float = K1, b: float = B) -> np.ndarray:
     BM25Scorer `cache[]`, but kept as the denominator addend in float64)."""
     dl = NORM_DECODE_TABLE.astype(np.float64)
     return k1 * (1.0 - b + b * dl / avgdl)
-
-
-def score_postings(
-    tfs: np.ndarray,
-    norms: np.ndarray,
-    term_idf: float,
-    cache: np.ndarray,
-) -> np.ndarray:
-    """Vectorized per-posting BM25 partial scores for one term."""
-    tf = tfs.astype(np.float64)
-    return term_idf * tf / (tf + cache[norms])
-
-
-def score_tf_dl(
-    tf: np.ndarray,
-    dl: np.ndarray,
-    df: int,
-    n_docs: int,
-    avgdl: float,
-    k1: float = K1,
-    b: float = B,
-) -> np.ndarray:
-    """Direct-form scorer used by the naive oracle (exact dl array given)."""
-    tf = np.asarray(tf, dtype=np.float64)
-    dl = np.asarray(dl, dtype=np.float64)
-    w = idf(df, n_docs)
-    return w * tf / (tf + k1 * (1.0 - b + b * dl / avgdl))

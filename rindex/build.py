@@ -811,13 +811,18 @@ def build_index(
     if len(done) < num_segments:
         import ray
 
+        ncpu = int(ray.cluster_resources().get("CPU", 4))
         if writer_concurrency is None:
             # The writer is IO-bound (term_shuffle mode: encode already
             # happened in the bucket reduce) — a small actor pool; a large
             # one reserves CPUs away from the tokenize/shuffle stages for
             # the whole pipeline lifetime and starves them (measured: 2x).
-            ncpu = int(ray.cluster_resources().get("CPU", 4))
             writer_concurrency = max(2, min(num_segments, ncpu // 8))
+        # the pool holds its CPUs for the whole pipeline: leave the upstream
+        # tasks at least one whole CPU, or on a 1-2 CPU session they never
+        # schedule and the build never returns (1 CPU per writer from 3 CPUs
+        # up with the default pool)
+        writer_cpus = min(1.0, max(0, ncpu - 1) / writer_concurrency)
         ds = ds.map_batches(
             _make_assign_seg(id_cols[0], num_segments, done),
             batch_format="pyarrow",
@@ -846,6 +851,7 @@ def build_index(
                 fn_constructor_args=(index_dir, cfg, fingerprint, generation),
                 batch_format="pandas",
                 concurrency=writer_concurrency,
+                num_cpus=writer_cpus,
             )
         elif mode == "term_shuffle":
             tok_fn = (
@@ -873,6 +879,7 @@ def build_index(
                 fn_constructor_args=(index_dir, cfg, fingerprint, generation),
                 batch_format="pyarrow",
                 concurrency=writer_concurrency,
+                num_cpus=writer_cpus,
             )
         else:
             raise ValueError(f"unknown mode {mode!r}")

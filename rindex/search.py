@@ -11,7 +11,11 @@ Reference search path re-expressed (SURVEY.md §3.2):
   * Term dictionary lookup — postings.parquet is term-sorted with small row
     groups, so a `term in (...)` Parquet filter prunes row groups via
     column statistics (the BlockTree/FST analog at coarse granularity).
-  * Per-segment scoring — vectorized numpy over decoded blocks:
+  * One doc space — a multi-segment index is scored through a fused
+    reader (`_FusedReader`, the composite-reader analog): every live
+    segment remapped into one docID space ordered by id_cols, so each
+    kernel runs once per query, not once per segment.
+  * Scoring — vectorized numpy over decoded blocks:
       - `exhaustive`: full postings scored, np.bincount accumulation
         (baseline, and the WAND-equivalence oracle inside the engine).
       - `wand`: block-max pruning (`WANDScorer`/`ImpactsDISI`/`MaxScoreCache`
@@ -22,10 +26,10 @@ Reference search path re-expressed (SURVEY.md §3.2):
         intervals in descending upper-bound order grows the threshold fast.
         Skips use a STRICT < threshold comparison so score-ties are never
         lost (tie-break correctness).
-  * Merge — per-segment top-k candidates -> global sort by
-    (score desc, conv_id asc, turn_idx asc) -> limit k, the
-    `TopScoreDocCollector` + `TopDocs#merge` semantics (docID order within a
-    segment IS (conv_id, turn_idx) order by build construction).
+  * Merge — top-k candidates -> sort by (score desc, conv_id asc,
+    turn_idx asc) -> limit k, the `TopScoreDocCollector` + `TopDocs#merge`
+    semantics (docID order IS (conv_id, turn_idx) order, by build
+    construction in a segment and by construction in the fused space).
   * Field fetch — winning docIDs only, from docs.parquet (stored fields),
     the two-round-trip GET_FIELDS pattern.
 
@@ -549,6 +553,10 @@ class _SegmentReader:
         self._ids_cache: pa.Table | None = None
         self._tbl: pa.Table | None = None
         self._terms_np: np.ndarray | None = None
+        self._has_positions: bool | None = None
+        self._pos_cache: dict[str, tuple | None] = {}
+        self._decoded_cache: dict = {}
+        self._decoded_bytes = 0
 
     def _ensure_loaded(self) -> bool:
         if self._tbl is None:
@@ -567,26 +575,27 @@ class _SegmentReader:
         return True
 
     def postings_for(self, terms: list[str]) -> dict[str, dict | None]:
-        missing = [t for t in set(terms) if t not in self._term_cache]
-        if missing and self._ensure_loaded():
-            tnp = self._terms_np
-            for t in missing:
-                i = int(np.searchsorted(tnp, t))
-                if i < len(tnp) and tnp[i] == t:
-                    self._term_cache[t] = self._tbl.slice(i, 1).to_pylist()[0]
-                else:
-                    self._term_cache[t] = None
-        elif missing:
-            path = os.path.join(self.sdir, "postings.parquet")
-            tbl = pq.read_table(
-                path, filters=[("term", "in", missing)], columns=self._COLS
-            )
-            found = {}
-            for row in tbl.to_pylist():
-                found[row["term"]] = row
-            for t in missing:
-                self._term_cache[t] = found.get(t)
+        missing = sorted(t for t in set(terms) if t not in self._term_cache)
+        if missing:
+            self._term_cache.update(self._load_postings(missing))
         return {t: self._term_cache[t] for t in set(terms)}
+
+    def _load_postings(self, terms: list[str]) -> dict[str, dict | None]:
+        """term -> posting row (None when absent), uncached."""
+        if self._ensure_loaded():
+            tnp = self._terms_np
+            out = {}
+            for t in terms:
+                i = int(np.searchsorted(tnp, t))
+                hit = i < len(tnp) and tnp[i] == t
+                out[t] = self._tbl.slice(i, 1).to_pylist()[0] if hit else None
+            return out
+        path = os.path.join(self.sdir, "postings.parquet")
+        tbl = pq.read_table(
+            path, filters=[("term", "in", terms)], columns=self._COLS
+        )
+        found = {row["term"]: row for row in tbl.to_pylist()}
+        return {t: found.get(t) for t in terms}
 
     def positions_for(
         self, terms: list[str]
@@ -596,18 +605,35 @@ class _SegmentReader:
         reference `lucene/core/src/java/org/apache/lucene/index/
         PostingsEnum.java`).  Positions are flat, runs in doc order (a doc's
         run located by the tf prefix sum).  Raises if the segment was built
-        without positions."""
-        from rindex.codec import decode_posting, decode_positions
+        without positions.  Decoded positions are cached per term (read-only
+        arrays) within the reader's DECODED_CACHE_MAX_BYTES budget."""
+        uniq = sorted(set(terms))
+        fresh = self._load_positions(
+            [t for t in uniq if t not in self._pos_cache]
+        )
+        for t, got in fresh.items():
+            if got is None:
+                self._pos_cache[t] = None
+            else:
+                self._cache_arrays(self._pos_cache, t, got)
+        return {t: fresh[t] if t in fresh else self._pos_cache[t] for t in uniq}
+
+    def _load_positions(self, terms: list[str]) -> dict[str, tuple | None]:
+        """positions_for without the cache."""
+        from rindex.codec import decode_posting_fast, decode_positions
 
         path = os.path.join(self.sdir, "postings.parquet")
-        schema = pq.read_schema(path)
-        if "pos_blob" not in schema.names:
+        if self._has_positions is None:
+            self._has_positions = "pos_blob" in pq.read_schema(path).names
+        if not self._has_positions:
             raise ValueError(
                 f"segment {self.sdir} was built without positions "
                 "(build_index(with_positions=True))"
             )
         uniq = sorted(set(terms))
         out: dict[str, tuple | None] = dict.fromkeys(uniq)
+        if not uniq:
+            return out
         tbl = self._pos_table(path)
         if tbl is not None:
             # cached whole-table path (node-shared): binary-search the term
@@ -626,7 +652,7 @@ class _SegmentReader:
                 columns=self._COLS + ["pos_blob", "pos_width"],
             ).to_pylist()
         for row in rows:
-            docs, tfs, norms = decode_posting(row)
+            docs, tfs, norms = decode_posting_fast(row)
             pos = decode_positions(row["pos_blob"], int(row["pos_width"]), tfs)
             out[row["term"]] = (docs, tfs, pos, norms)
         return out
@@ -663,21 +689,23 @@ class _SegmentReader:
         query (idf differs) but the expensive bit-unpack is reused."""
         from rindex.codec import decode_posting_fast
 
-        if not hasattr(self, "_decoded_cache"):
-            self._decoded_cache: dict = {}
-            self._decoded_bytes = 0
         hit = self._decoded_cache.get(term)
         if hit is not None:
             return hit
         out = decode_posting_fast(row)
-        nbytes = sum(int(a.nbytes) for a in out)
-        if (
-            int(row["df"]) >= self.DECODED_CACHE_MIN_DF
-            and self._decoded_bytes + nbytes <= self.DECODED_CACHE_MAX_BYTES
-        ):
-            self._decoded_cache[term] = out
-            self._decoded_bytes += nbytes
+        if int(row["df"]) >= self.DECODED_CACHE_MIN_DF:
+            self._cache_arrays(self._decoded_cache, term, out)
         return out
+
+    def _cache_arrays(self, cache: dict, key, arrays: tuple) -> None:
+        """Keep `arrays` in `cache` while the reader's decoded-array bytes
+        stay within DECODED_CACHE_MAX_BYTES (one budget per reader)."""
+        nbytes = sum(int(a.nbytes) for a in arrays)
+        if self._decoded_bytes + nbytes <= self.DECODED_CACHE_MAX_BYTES:
+            for a in arrays:
+                a.flags.writeable = False  # shared by every later caller
+            cache[key] = arrays
+            self._decoded_bytes += nbytes
 
     def deleted_docs(self) -> np.ndarray | None:
         """Seg-local deleted doc ordinals (the liveDocs COMPLEMENT — the
@@ -786,28 +814,183 @@ class _SegmentReader:
     def fetch_ids(self, docs: np.ndarray, id_cols: list[str]) -> dict:
         """doc -> tuple(id values), reading only needed row groups (docs are
         sorted in docs.parquet, so min/max stats prune)."""
-        if self._ids_cache is None:
-            path = os.path.join(self.sdir, "docs.parquet")
-            if self.max_doc <= 2_000_000:
-                self._ids_cache = pq.read_table(path, columns=["doc"] + id_cols)
-            else:
-                tbl = pq.read_table(
-                    path,
-                    columns=["doc"] + id_cols,
-                    filters=[("doc", "in", [int(d) for d in docs])],
-                )
-                return {
-                    int(r["doc"]): tuple(r[c] for c in id_cols)
-                    for r in tbl.to_pylist()
-                }
-        tbl = self._ids_cache
-        dcol = tbl["doc"].to_numpy()
-        pos = np.searchsorted(dcol, docs)
-        out = {}
-        cols = [tbl[c] for c in id_cols]
-        for d, p in zip(docs, pos):
-            out[int(d)] = tuple(c[int(p)].as_py() for c in cols)
+        taken = self._id_rows(np.asarray(docs, dtype=np.int64), id_cols)
+        cols = [taken[c].to_pylist() for c in id_cols]
+        return dict(zip((int(d) for d in docs), zip(*cols)))
+
+    def _id_rows(self, docs: np.ndarray, id_cols: list[str]) -> pa.Table:
+        """The docs.parquet rows of `docs`, in order."""
+        if self._ids_cache is None and self.max_doc > 2_000_000:
+            tbl = pq.read_table(
+                os.path.join(self.sdir, "docs.parquet"),
+                columns=["doc"] + id_cols,
+                filters=[("doc", "in", [int(d) for d in docs])],
+            )
+        else:
+            tbl = self._id_table(id_cols)
+        return tbl.take(pa.array(np.searchsorted(tbl["doc"].to_numpy(), docs)))
+
+    def _id_table(self, id_cols: list[str]) -> pa.Table:
+        """docs.parquet's doc column plus `id_cols`, read once per reader
+        (re-read with the union of columns when a caller asks for more).
+        One chunk per column: Arrow's take concatenates a chunked column
+        on every call."""
+        have = [] if self._ids_cache is None else self._ids_cache.column_names
+        if not set(id_cols) <= set(have):
+            cols = list(dict.fromkeys(["doc"] + have + list(id_cols)))
+            self._ids_cache = pq.read_table(
+                os.path.join(self.sdir, "docs.parquet"), columns=cols
+            ).combine_chunks()
+        return self._ids_cache
+
+
+def _run_gather(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Flat indices of the runs [starts[i], starts[i] + lens[i]), in order."""
+    total = int(lens.sum())
+    ends = np.cumsum(lens)
+    return np.repeat(starts - (ends - lens), lens) + np.arange(total)
+
+
+class _FusedReader(_SegmentReader):
+    """Every live segment as ONE doc space — the composite-reader analog
+    (`lucene/core/src/java/org/apache/lucene/index/ReaderUtil.java` docBase
+    leaves, `MultiPostingsEnum`), so a query runs each kernel once instead
+    of once per segment.
+
+    A doc's fused docID is the rank of its id_cols tuple across the whole
+    index (a stable sort, so equal tuples — an append before a merge — keep
+    manifest order).  That is exactly the docID a 1-segment build assigns,
+    so every kernel's doc-asc tie-break already equals the collector's id
+    tie-break.  Built lazily: the docID maps and the id table on first use,
+    each term's fused posting (decode every segment's list, remap, sort,
+    re-encode) on the term's first lookup, cached in the term cache, and
+    its fused positions on first use, cached like a segment's.  Segment
+    readers are read through their uncached loaders, so nothing is held
+    twice.  Postings keep deleted docs (df/ttf stay stale until a merge,
+    like a segment's); deleted_docs() bans them."""
+
+    def __init__(self, readers: list[_SegmentReader], id_cols: list[str]):
+        super().__init__(None, {"max_doc": sum(r.max_doc for r in readers)})
+        self.readers = readers
+        self.id_cols = list(id_cols)
+        self._filter_cache: dict = {}
+        self._maps: list[np.ndarray] | None = None
+        self._ids: pa.Table | None = None
+
+    def _doc_maps(self) -> list[np.ndarray]:
+        """Per segment: local docID -> fused docID."""
+        if self._maps is None:
+            tbls = [r._id_table(self.id_cols) for r in self.readers]
+            for r, t in zip(self.readers, tbls):
+                if t.num_rows != r.max_doc:
+                    raise ValueError(
+                        f"segment {r.sdir}: docs.parquet holds {t.num_rows} "
+                        f"rows for max_doc {r.max_doc}"
+                    )
+            ids = pa.concat_tables([t.select(self.id_cols) for t in tbls])
+            order = pc.sort_indices(
+                ids, sort_keys=[(c, "ascending") for c in self.id_cols]
+            ).to_numpy()
+            rank = np.empty(len(order), dtype=np.int64)
+            rank[order] = np.arange(len(order), dtype=np.int64)
+            maps, off = [], 0
+            for t in tbls:
+                m = np.empty(t.num_rows, dtype=np.int64)
+                m[t["doc"].to_numpy()] = rank[off: off + t.num_rows]
+                maps.append(m)
+                off += t.num_rows
+            self._ids = ids.take(pa.array(order)).combine_chunks()
+            self._maps = maps
+        return self._maps
+
+    def _remap_concat(self, per_seg: list) -> tuple:
+        """[(segment index, (docs, *arrays))] -> the fused docs, the order
+        that sorts them, and each other array concatenated (unsorted)."""
+        maps = self._doc_maps()
+        docs = np.concatenate([maps[i][p[0]] for i, p in per_seg])
+        rest = [
+            np.concatenate([p[j] for _, p in per_seg])
+            for j in range(1, len(per_seg[0][1]))
+        ]
+        return docs, np.argsort(docs, kind="stable"), rest
+
+    def _load_postings(self, terms: list[str]) -> dict[str, dict | None]:
+        from rindex.codec import decode_posting_fast, encode_postings_batch
+
+        per_seg = [r._load_postings(terms) for r in self.readers]
+        out: dict[str, dict | None] = dict.fromkeys(terms)
+        fused = []  # (term, docs, tfs, norms), docs ascending
+        for t in terms:
+            parts = [
+                (i, decode_posting_fast(p[t]))
+                for i, p in enumerate(per_seg)
+                if p[t] is not None
+            ]
+            if parts:
+                docs, o, (tfs, norms) = self._remap_concat(parts)
+                fused.append((t, docs[o], tfs[o], norms[o]))
+        if not fused:
+            return out
+        bounds = np.cumsum([0] + [len(f[1]) for f in fused])
+        enc = encode_postings_batch(
+            bounds, *(np.concatenate([f[j] for f in fused]) for j in (1, 2, 3))
+        )
+        blk = np.concatenate([[0], np.cumsum(enc["block_counts"])])
+        blobs = enc["blob_offsets"]
+        for i, (t, docs, tfs, norms) in enumerate(fused):
+            b = slice(blk[i], blk[i + 1])
+            out[t] = {
+                "term": t,
+                "df": int(enc["df"][i]),
+                "ttf": int(enc["ttf"][i]),
+                "blob": enc["blob_data"][blobs[i]: blobs[i + 1]].tobytes(),
+                **{
+                    c: enc[c][b]
+                    for c in (
+                        "block_first_doc", "block_last_doc", "block_max_tf",
+                        "block_min_norm", "block_offset",
+                    )
+                },
+            }
+            if len(docs) >= self.DECODED_CACHE_MIN_DF:
+                self._cache_arrays(self._decoded_cache, t, (docs, tfs, norms))
         return out
+
+    def _load_positions(self, terms: list[str]) -> dict[str, tuple | None]:
+        per_seg = [r._load_positions(terms) for r in self.readers]
+        out: dict[str, tuple | None] = dict.fromkeys(terms)
+        for t in terms:
+            parts = [(i, p[t]) for i, p in enumerate(per_seg) if p[t] is not None]
+            if parts:
+                docs, o, (tfs, pos, norms) = self._remap_concat(parts)
+                run = _run_gather((np.cumsum(tfs) - tfs)[o], tfs[o])
+                out[t] = (docs[o], tfs[o], pos[run], norms[o])
+        return out
+
+    def deleted_docs(self) -> np.ndarray | None:
+        if not hasattr(self, "_deleted"):
+            maps = self._doc_maps()
+            parts = [
+                maps[i][dd]
+                for i, r in enumerate(self.readers)
+                if (dd := r.deleted_docs()) is not None
+            ]
+            self._deleted = np.sort(np.concatenate(parts)) if parts else None
+        return self._deleted
+
+    def docs_matching(self, column: str, value) -> np.ndarray:
+        key = (column, str(value))
+        if key not in self._filter_cache:
+            maps = self._doc_maps()
+            self._filter_cache[key] = np.sort(np.concatenate([
+                maps[i][r.docs_matching(column, value)]
+                for i, r in enumerate(self.readers)
+            ]))
+        return self._filter_cache[key]
+
+    def _id_rows(self, docs: np.ndarray, id_cols: list[str]) -> pa.Table:
+        self._doc_maps()
+        return self._ids.take(pa.array(docs))
 
 
 def _weight_val(x):
@@ -852,6 +1035,19 @@ class IndexSearcher:
             _SegmentReader(segio.seg_dir(index_dir, m["seg_id"], m.get("gen", 0)), m)
             for m in self.manifest["segments"]
         ]
+        self._fused: _FusedReader | None = None
+
+    def scoring_readers(self) -> list:
+        """The readers the scoring entry points loop over: every live
+        segment fused into one doc space (one kernel call per query), or
+        the lone segment of a 1-segment index as is.  Entry points that read
+        segment files by `reader.sdir` or pair segments by index keep
+        `self.readers`."""
+        if len(self.readers) <= 1:
+            return self.readers
+        if self._fused is None:
+            self._fused = _FusedReader(self.readers, self.id_cols)
+        return [self._fused]
 
     def warm(self, concurrency: int = 8) -> "IndexSearcher":
         """Preload every segment's term dictionary + postings table with a
@@ -871,7 +1067,7 @@ class IndexSearcher:
     def global_df(self, terms: list[str]) -> dict[str, int]:
         uniq = list(set(terms))
         df = dict.fromkeys(uniq, 0)
-        for r in self.readers:
+        for r in self.scoring_readers():
             posts = r.postings_for(uniq)
             for t, row in posts.items():
                 if row is not None:
@@ -883,7 +1079,7 @@ class IndexSearcher:
         totalTermFreq — needed by collection-stats similarities)."""
         uniq = list(set(terms))
         ttf = dict.fromkeys(uniq, 0)
-        for r in self.readers:
+        for r in self.scoring_readers():
             posts = r.postings_for(uniq)
             for t, row in posts.items():
                 if row is not None:
@@ -1339,7 +1535,7 @@ class IndexSearcher:
             "single": self._search_segment_single_term,
         }[algo]
         cands = []  # (score, id_tuple)
-        for reader in self.readers:
+        for reader in self.scoring_readers():
             docs, scores = per_seg(reader, q, order, mult, idf_map, q.k)
             if len(docs) == 0:
                 continue
@@ -1430,7 +1626,7 @@ class IndexSearcher:
         for pterms, boost in q.phrases or []:
             seg: dict[int, tuple] = {}
             df_p = 0
-            for si, reader in enumerate(self.readers):
+            for si, reader in enumerate(self.scoring_readers()):
                 docs, freqs, norms = self._segment_phrase(reader, pterms)
                 df_p += len(docs)
                 if docs:
@@ -1456,7 +1652,7 @@ class IndexSearcher:
                 continue
             ttf_s = sum(self.global_ttf(sterms).values())
             seg = {}
-            for si, reader in enumerate(self.readers):
+            for si, reader in enumerate(self.scoring_readers()):
                 posts = reader.postings_for(sterms)
                 dl, tl, nl = [], [], []
                 for t in sterms:
@@ -1492,7 +1688,7 @@ class IndexSearcher:
         idf_map = self.term_weights(order, df)
         is_and = q.mode == "and"
         cands = []
-        for si, reader in enumerate(self.readers):
+        for si, reader in enumerate(self.scoring_readers()):
             posts = reader.postings_for(order) if order else {}
             acc = np.zeros(reader.max_doc, dtype=np.float64)
             hits = np.zeros(reader.max_doc, dtype=np.int64) if is_and else None
@@ -1672,7 +1868,7 @@ class IndexSearcher:
         for pterms, scoring in phrase_nodes.items():
             seg: dict[int, tuple] = {}
             df_p, ttf_p = 0, 0.0
-            for si, reader in enumerate(self.readers):
+            for si, reader in enumerate(self.scoring_readers()):
                 docs, freqs, norms = self._segment_phrase(
                     reader, list(pterms)
                 )
@@ -1691,7 +1887,7 @@ class IndexSearcher:
             )
             phrase_plan[pterms] = (w, seg)
         cands = []
-        for si, reader in enumerate(self.readers):
+        for si, reader in enumerate(self.scoring_readers()):
             posts = reader.postings_for(sorted(set(all_terms(tree))))
             acc = np.zeros(reader.max_doc, dtype=np.float64)
             masks: dict[str, np.ndarray] = {}
@@ -1790,7 +1986,7 @@ class IndexSearcher:
         if not terms:
             return []
         results: list[tuple] = []
-        for reader in self.readers:
+        for reader in self.scoring_readers():
             match_docs, match_freq, _norms = self._segment_phrase(
                 reader, terms
             )
@@ -1817,29 +2013,26 @@ class IndexSearcher:
         common = reader.drop_deleted(common)
         if len(common) == 0:
             return [], [], []
-        runs = []  # (starts, lens, positions) aligned to common
+        # one key join over every shared doc at once: term j at position p
+        # of doc d keys (d << 32) | (p - j), so a phrase start is a key all
+        # terms share (positions within a doc are unique, so keys are)
+        keys = None
         for j, t in enumerate(terms):
             docs, tfs, pos = posts[t][:3]
-            starts = np.concatenate([[0], np.cumsum(tfs)[:-1]])
             at = np.searchsorted(docs, common)
-            runs.append((starts[at], tfs[at], pos, j))
+            lens = tfs[at]
+            start = pos[_run_gather((np.cumsum(tfs) - tfs)[at], lens)] - j
+            k = (np.repeat(common, lens) << 32) | start
+            k = k[start >= 0]
+            keys = k if keys is None else np.intersect1d(
+                keys, k, assume_unique=True
+            )
+            if len(keys) == 0:
+                return [], [], []
+        match_docs, match_freq = np.unique(keys >> 32, return_counts=True)
         d0, n0 = posts[terms[0]][0], posts[terms[0]][3]
-        norm_at = np.searchsorted(d0, common)
-        match_docs, match_freq, match_norm = [], [], []
-        for i, d in enumerate(common):
-            s0, l0, p0, _ = runs[0]
-            cand = p0[s0[i]: s0[i] + l0[i]]
-            for s, ln, p, j in runs[1:]:
-                if len(cand) == 0:
-                    break
-                cand = np.intersect1d(
-                    cand, p[s[i]: s[i] + ln[i]] - j, assume_unique=True
-                )
-            if len(cand):
-                match_docs.append(int(d))
-                match_freq.append(len(cand))
-                match_norm.append(int(n0[norm_at[i]]))
-        return match_docs, match_freq, match_norm
+        match_norm = n0[np.searchsorted(d0, match_docs)]
+        return match_docs.tolist(), match_freq.tolist(), match_norm.tolist()
 
     def search_phrase_topk(self, text: str, k: int = 10) -> list[tuple]:
         """SCORED exact-phrase query: BM25 with tf = phrase frequency and
@@ -1855,7 +2048,7 @@ class IndexSearcher:
             return []
         per_seg = []
         df_phrase = 0
-        for reader in self.readers:
+        for reader in self.scoring_readers():
             docs, freqs, norms = self._segment_phrase(reader, terms)
             df_phrase += len(docs)
             if docs:
