@@ -753,9 +753,11 @@ def build_index(
     slot) to an existing index — the soft-commit/NRT micro-batching analog
     (`DirectUpdateHandler2#commit` + `DirectoryReader#openIfChanged`,
     SURVEY.md §2.9): each build round is one segment generation, and the
-    manifest swap makes it visible atomically.  Append is append-only at
-    build time; re-ingested (conv_id, turn_idx) duplicates are resolved at
-    MERGE time, newest generation wins (rindex/merge.py)."""
+    manifest swap makes it visible atomically.  A re-ingested
+    (conv_id, turn_idx) replaces its older versions like `updateDocument`:
+    they are marked deleted in the same manifest swap
+    (`rindex.deletes.delete_superseded`), and the next merge of the slot
+    drops them."""
     import ray.data as rd
 
     if isinstance(source, (str, list)):
@@ -891,16 +893,22 @@ def build_index(
         if segio.segment_done(sdir, cfg_hash, fingerprint):
             metas.append(segio.read_meta(sdir))
     if generation > 0:
-        # append: keep every live segment of other generations
+        # append: keep every live segment of other generations, with the
+        # older versions of the new generation's ids marked deleted
+        from rindex.deletes import delete_superseded
+
         prior = segio.read_manifest(index_dir)["segments"]
-        metas = [m for m in prior if m.get("gen", 0) != generation] + metas
+        older = [m for m in prior if m.get("gen", 0) != generation]
+        metas = delete_superseded(index_dir, older, metas, list(id_cols)) + metas
     return segio.write_manifest(index_dir, metas, cfg)
 
 
 def append_index(source, index_dir: str, **kwargs) -> dict:
     """One incremental micro-batch: index `source` as the next segment
     generation of an existing index (topic/checkpoint-style incremental
-    runs — SURVEY.md §2.9).  Returns the new manifest."""
+    runs — SURVEY.md §2.9).  Ids already in the index are updated: their
+    older versions are deleted when the new generation is published.
+    Returns the new manifest."""
     prior = segio.read_manifest(index_dir)
     next_gen = 1 + max(int(m.get("gen", 0)) for m in prior["segments"])
     cfg = prior["config"]

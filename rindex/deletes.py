@@ -18,11 +18,13 @@ reference: `lucene/core/src/java/org/apache/lucene/index/
   are expunged).  `rindex.merge.merge_segments` drops deleted docs and
   recomputes every statistic; `run_merges(expunge=True)` is the
   forceMergeDeletes analog.
-- Matching runs distributed: one Ray task per segment (the same
-  Dataset-over-specs shape as `run_merges`) — each task runs the match
-  against its own segment's postings/docmap, unions with the existing
-  deleted set, and writes the sidecar.  Nothing corpus-sized ever reaches
-  the driver; the manifest update is metadata-only.
+- Matching runs in the calling process, one segment after another, like
+  the reference writer's `BufferedUpdatesStream` (no scheduler involved):
+  a term delete reads only the matched terms' postings rows (row-group
+  pruned on the sorted term column); then the manifest is republished once.
+- `append_index` is `updateDocument`: the older versions of a new
+  generation's ids are marked deleted (`delete_superseded`) in the same
+  manifest write that publishes the generation.
 
 Repeated deletes union (idempotent); delete generations are monotonic per
 segment so a reader constructed from an old manifest row never sees a
@@ -32,113 +34,107 @@ names them).
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from rindex import segments as segio
 
 
-def _write_liv(sdir: str, del_gen: int, deleted: np.ndarray) -> str:
+def _mark_deleted(index_dir: str, meta: dict, matched: np.ndarray) -> dict:
+    """Union `matched` (seg-local doc ordinals) into the segment's deleted
+    set and write it as the next sidecar generation.  Returns the segment's
+    manifest row, unchanged when nothing is newly deleted (idempotence)."""
+    from rindex.search import _SegmentReader
+
+    if len(matched) == 0:
+        return meta
+    sdir = segio.seg_dir(index_dir, meta["seg_id"], meta.get("gen", 0))
+    old = _SegmentReader(sdir, meta).deleted_docs()
+    new = np.union1d(old, matched) if old is not None else np.unique(matched)
+    if len(new) == (0 if old is None else len(old)):
+        return meta
+    del_gen = int(meta.get("del_gen", 0) or 0) + 1
     path = os.path.join(sdir, f"_liv-g{del_gen}.parquet")
     tmp = f"{path}.tmp-{os.getpid()}"
-    pq.write_table(
-        pa.table({"doc": pa.array(np.sort(deleted).astype(np.int32))}), tmp
-    )
+    pq.write_table(pa.table({"doc": pa.array(new.astype(np.int32))}), tmp)
     segio.atomic_rename_file(tmp, path)
-    return path
+    return {**meta, "del_gen": del_gen, "del_count": int(len(new))}
 
 
 def _segment_delete(spec: dict) -> dict:
-    """Run one segment's match + sidecar write (executes inside a Ray
-    task).  Returns the updated manifest-row fields."""
-    from rindex.search import _SegmentReader
+    """One segment's match + sidecar write.  `spec` holds index_dir, the
+    segment's manifest row (meta) and the delete (kind "terms" with the
+    analyzed terms, or kind "filter" with column and value).  Returns the
+    segment's updated manifest row."""
+    from rindex.codec import decode_posting_fast
+    from rindex.search import _SegmentReader, read_postings_rows
 
     meta = spec["meta"]
     sdir = segio.seg_dir(spec["index_dir"], meta["seg_id"], meta.get("gen", 0))
-    reader = _SegmentReader(sdir, meta)
     kind = spec["kind"]
     if kind == "terms":
         # docs containing ANY of the (already-analyzed) terms
-        posts = reader.postings_for(spec["terms"])
-        parts = [
-            reader.decoded(t, row)[0]
-            for t, row in posts.items()
-            if row is not None
-        ]
-        matched = (
-            np.unique(np.concatenate(parts)).astype(np.int64)
-            if parts
-            else np.zeros(0, dtype=np.int64)
-        )
+        rows = read_postings_rows(sdir, spec["terms"])
+        parts = [decode_posting_fast(r)[0] for r in rows.values() if r]
+        matched = np.concatenate(parts or [np.zeros(0, np.int64)])
     elif kind == "filter":
-        matched = reader.docs_matching(spec["column"], spec["value"])
+        matched = _SegmentReader(sdir, meta).docs_matching(
+            spec["column"], spec["value"]
+        )
     else:
         raise ValueError(f"unknown delete kind {kind!r}")
-    old = reader.deleted_docs()
-    new = (
-        np.union1d(old, matched) if old is not None else np.unique(matched)
-    )
-    old_n = 0 if old is None else len(old)
-    if len(new) == old_n:
-        # nothing newly deleted: keep the current generation (idempotence)
-        return {
-            "seg_id": int(meta["seg_id"]),
-            "gen": int(meta.get("gen", 0)),
-            "del_gen": int(meta.get("del_gen", 0) or 0),
-            "del_count": old_n,
-        }
-    del_gen = int(meta.get("del_gen", 0) or 0) + 1
-    _write_liv(sdir, del_gen, new)
-    return {
-        "seg_id": int(meta["seg_id"]),
-        "gen": int(meta.get("gen", 0)),
-        "del_gen": del_gen,
-        "del_count": int(len(new)),
-    }
+    return _mark_deleted(spec["index_dir"], meta, matched)
 
 
 def _apply(index_dir: str, spec_base: dict) -> dict:
-    """Fan the delete out across segments as a Dataset (one task per
-    segment), then republish the manifest with the new del_gen/del_count
-    rows.  Returns the new manifest."""
-    import ray.data as rd
-
+    """Run the delete on every segment in turn, then republish the manifest
+    once with the new del_gen/del_count rows.  Returns the new manifest."""
     manifest = segio.read_manifest(index_dir)
-    metas = manifest["segments"]
-    specs = [
-        {"spec": json.dumps({**spec_base, "index_dir": index_dir, "meta": m})}
-        for m in metas
+    segments = [
+        _segment_delete({**spec_base, "index_dir": index_dir, "meta": m})
+        for m in manifest["segments"]
     ]
-
-    def do(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            [_segment_delete(json.loads(raw)) for raw in batch["spec"]]
-        )
-
-    res = (
-        rd.from_items(specs)
-        .repartition(len(specs))
-        .map_batches(do, batch_size=1, batch_format="pandas")
-        .to_pandas()
-    )
-    upd = {
-        (int(r.seg_id), int(r.gen)): (int(r.del_gen), int(r.del_count))
-        for r in res.itertuples()
-    }
-    segments = []
-    for m in metas:
-        key = (int(m["seg_id"]), int(m.get("gen", 0)))
-        dg, dc = upd[key]
-        m = dict(m)
-        if dg > 0:
-            m["del_gen"], m["del_count"] = dg, dc
-        segments.append(m)
     return segio.write_manifest(index_dir, segments, manifest["config"])
+
+
+def delete_superseded(
+    index_dir: str, older: list[dict], fresh: list[dict], id_cols: list[str]
+) -> list[dict]:
+    """`updateDocument` for an appended generation: mark deleted every doc
+    of an older (lower version) segment whose id_cols tuple the fresh
+    segment of its hash slot holds again.  The slot is
+    `hash(id_cols[0]) % num_segments` under the pinned config, so every
+    older version lives there.  Returns `older` with updated manifest rows,
+    for the caller to publish with `fresh` in one manifest write."""
+
+    def version(m: dict) -> int:
+        return int(m.get("version", m.get("gen", 0)))
+
+    def ids(m: dict, cols: list[str]) -> pa.Table:
+        sdir = segio.seg_dir(index_dir, m["seg_id"], m.get("gen", 0))
+        return pq.read_table(os.path.join(sdir, "docs.parquet"), columns=cols)
+
+    by_slot = {int(m["seg_id"]): m for m in fresh}
+    new_ids: dict[int, pa.Table] = {}
+    out = []
+    for m in older:
+        slot = int(m["seg_id"])
+        new = by_slot.get(slot)
+        if new is None or version(m) >= version(new):
+            out.append(m)
+            continue
+        if slot not in new_ids:
+            new_ids[slot] = ids(new, id_cols)
+        old = ids(m, ["doc"] + id_cols)
+        hit = old.join(
+            new_ids[slot].cast(old.select(id_cols).schema),
+            keys=id_cols, join_type="left semi",
+        )
+        out.append(_mark_deleted(index_dir, m, hit["doc"].to_numpy()))
+    return out
 
 
 def delete_by_terms(index_dir: str, text: str) -> dict:

@@ -7,11 +7,14 @@ maxMergedSegmentMB=5120, floorSegmentMB=2): segments are binned into size
 tiers; when a tier exceeds segsPerTier, candidate merges of up to
 maxMergeAtOnce size-adjacent segments are scored by size skew (more-uniform
 merges score better, cheaper amortized write cost) with a mild penalty on
-total merged size, and the best non-overlapping candidates run.  Deletes are
-resolved during the merge itself: same-(conv_id, turn_idx) supersession
-across generations, plus explicit live-docs sidecars (`rindex.deletes`)
-whose deleted docs every merge expunges; `run_merges(expunge=True)` is the
-forceMergeDeletes path that rewrites deletes-bearing slots unconditionally.
+total merged size, and the best non-overlapping candidates run.  Every merge
+expunges its members' live-docs sidecars (`rindex.deletes`): explicit
+deletes, and the older versions of re-ingested (conv_id, turn_idx) ids that
+`append_index` marks deleted when it publishes the newer generation.  The
+merge still keeps only the newest version per id, for indexes written
+before appends deleted superseded versions; `run_merges(expunge=True)` is
+the forceMergeDeletes path that rewrites deletes-bearing slots
+unconditionally.
 
 PARTITIONING ASSUMPTION (explicit, per build brief): merges only combine
 segments of the SAME hash slot (seg_id) across generations — a conversation
@@ -290,6 +293,9 @@ def merge_segments(
         kept.drop(columns=["_gen", "_keep", "doc"])
         .rename(columns={"_newdoc": "doc"})
         [["doc"] + [c for c in kept.columns if c not in ("_gen", "_keep", "doc", "_newdoc")]],
+        # the members' types: pandas infers null columns when every member
+        # doc is deleted, which a later merge's concat cannot unify
+        schema=docs.schema.remove(docs.schema.get_field_index("_gen")),
         preserve_index=False,
     )
     tmp = os.path.join(new_sdir, "docs.parquet") + f".tmp-{os.getpid()}"

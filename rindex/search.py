@@ -531,6 +531,19 @@ def _shared_postings_table(path: str, cols) -> "pa.Table | None":
         return None  # any Ray hiccup degrades to the private-read path
 
 
+def read_postings_rows(sdir: str, terms: list[str]) -> dict[str, dict | None]:
+    """term -> the segment's posting row (None when absent), read with
+    row-group pruning on the sorted term column: only the row groups that
+    can hold `terms` are read."""
+    tbl = pq.read_table(
+        os.path.join(sdir, "postings.parquet"),
+        filters=[("term", "in", terms)],
+        columns=_SegmentReader._COLS,
+    )
+    found = {row["term"]: row for row in tbl.to_pylist()}
+    return {t: found.get(t) for t in terms}
+
+
 class _SegmentReader:
     """Lazy per-segment postings + stored-field access with a term cache."""
 
@@ -590,12 +603,7 @@ class _SegmentReader:
                 hit = i < len(tnp) and tnp[i] == t
                 out[t] = self._tbl.slice(i, 1).to_pylist()[0] if hit else None
             return out
-        path = os.path.join(self.sdir, "postings.parquet")
-        tbl = pq.read_table(
-            path, filters=[("term", "in", terms)], columns=self._COLS
-        )
-        found = {row["term"]: row for row in tbl.to_pylist()}
-        return {t: found.get(t) for t in terms}
+        return read_postings_rows(self.sdir, terms)
 
     def positions_for(
         self, terms: list[str]
@@ -1056,11 +1064,15 @@ class IndexSearcher:
         serial segment loads (measured p99 ~600ms vs p50 ~10ms at sf0.1);
         the reference warms searchers the same way (`SolrIndexSearcher`
         firstSearcher/newSearcher warming queries,
-        `solr/core/src/java/org/apache/solr/search/SolrIndexSearcher.java`)."""
+        `solr/core/src/java/org/apache/solr/search/SolrIndexSearcher.java`).
+        A multi-segment index also builds its fused reader's docID maps and
+        id table here, not on the first query."""
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=concurrency) as ex:
             list(ex.map(lambda r: r._ensure_loaded(), self.readers))
+        if len(self.readers) > 1:
+            self.scoring_readers()[0]._doc_maps()
         return self
 
     # ---- stats ----

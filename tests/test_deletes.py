@@ -165,3 +165,97 @@ def test_expunge_merge_equals_filtered_rebuild(
     r_m = IndexSearcher(idx).search("w0001 w0100", k=20, mode="or")
     r_r = IndexSearcher(idx2).search("w0001 w0100", k=20, mode="or")
     assert r_m == r_r
+
+
+_NO_RAY_SCRIPT = r"""
+import json, sys
+from rindex.deletes import delete_by_filter, delete_by_terms
+from rindex.segments import read_manifest
+
+idx, fidx, term, term2, role = sys.argv[1:]
+rows = lambda m: {m["seg_id"]: (int(m.get("del_gen", 0) or 0),
+                                int(m.get("del_count", 0) or 0))
+                  for m in m["segments"]}
+out = {
+    "first": rows(delete_by_terms(idx, term)),
+    "repeat": rows(delete_by_terms(idx, term)),
+    "second": rows(delete_by_terms(idx, term2)),
+    "filter": rows(delete_by_filter(fidx, "role", role)),
+    "published": rows(read_manifest(idx)),
+    "ray_imported": "ray" in sys.modules,
+}
+print(json.dumps(out))
+"""
+
+
+def _liv(idx, meta):
+    dg = int(meta.get("del_gen", 0) or 0)
+    if dg == 0:
+        return set()
+    sdir = seg_dir(idx, meta["seg_id"], meta.get("gen", 0))
+    return set(pq.read_table(os.path.join(sdir, f"_liv-g{dg}.parquet"))["doc"]
+               .to_pylist())
+
+
+def _docs_where(idx, keep):
+    """seg_id -> the doc ordinals whose stored row satisfies `keep`."""
+    from rindex.analysis import get_analyzer
+
+    az = get_analyzer("standard")
+    out = {}
+    for m in read_manifest(idx)["segments"]:
+        t = pq.read_table(
+            os.path.join(seg_dir(idx, m["seg_id"], m.get("gen", 0)), "docs.parquet")
+        ).to_pylist()
+        out[m["seg_id"]] = {r["doc"] for r in t if keep(r, az)}
+    return out
+
+
+def test_deletes_run_without_ray(ray_session, del_corpus, tmp_path):
+    """delete_by_terms / delete_by_filter in a process that never starts
+    Ray: the deleted sets are exactly the matching docs, del_gen/del_count
+    follow the sidecar contract, and a repeated delete is a no-op."""
+    import json
+    import shutil
+    import subprocess
+    import sys
+
+    idx, fidx = str(tmp_path / "idx"), str(tmp_path / "fidx")
+    _build(del_corpus, idx)
+    shutil.copytree(idx, fidx)
+    role = pq.read_table(del_corpus, columns=["role"])["role"][0].as_py()
+    n_hits = len(IndexSearcher(idx).search(TERM, k=10_000))
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_RAY_SCRIPT, idx, fidx, TERM, "w0005", role],
+        capture_output=True, text=True, timeout=120, cwd=repo,
+        env={**os.environ, "PYTHONPATH": repo},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["ray_imported"] is False
+
+    has = lambda *terms: (lambda r, az: bool(set(az.tokens(r["text"])) & set(terms)))
+    want1 = _docs_where(idx, has(TERM))
+    want2 = _docs_where(idx, has(TERM, "w0005"))
+    assert sum(map(len, want1.values())) > 0
+    assert sum(map(len, want1.values())) == n_hits
+    for seg, (dg, dc) in got["first"].items():
+        assert (dg, dc) == ((1, len(want1[int(seg)])) if want1[int(seg)] else (0, 0))
+    assert got["repeat"] == got["first"]  # nothing new: generations unchanged
+    for seg, (dg, dc) in got["second"].items():
+        grew = want2[int(seg)] != want1[int(seg)]
+        assert dg == got["first"][seg][0] + grew
+        assert dc == len(want2[int(seg)])
+    assert got["published"] == got["second"]
+    for m in read_manifest(idx)["segments"]:
+        assert _liv(idx, m) == want2[m["seg_id"]]
+
+    wantf = _docs_where(fidx, lambda r, az: r["role"] == role)
+    for m in read_manifest(fidx)["segments"]:
+        assert _liv(fidx, m) == wantf[m["seg_id"]]
+        assert got["filter"][str(m["seg_id"])] == (
+            [1, len(wantf[m["seg_id"]])] if wantf[m["seg_id"]] else [0, 0]
+        )
+    live, max_doc = num_docs(fidx)
+    assert live == max_doc - sum(map(len, wantf.values()))
