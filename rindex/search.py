@@ -26,18 +26,19 @@ Reference search path re-expressed (SURVEY.md §3.2):
         intervals in descending upper-bound order grows the threshold fast.
         Skips use a STRICT < threshold comparison so score-ties are never
         lost (tie-break correctness).
-  * Merge — top-k candidates -> sort by (score desc, conv_id asc,
-    turn_idx asc) -> limit k, the `TopScoreDocCollector` + `TopDocs#merge`
-    semantics (docID order IS (conv_id, turn_idx) order, by build
-    construction in a segment and by construction in the fused space).
+  * Collect — one collector (`_collect`, the `TopScoreDocCollector`
+    analog) takes a kernel's (doc, score) pairs: top-k preselect, sort by
+    (score desc, doc asc), limit k, one id fetch.  docID order IS id_cols
+    order, by build construction in a segment and by construction in the
+    fused space, so the doc-asc tie-break is the id tie-break.
   * Field fetch — winning docIDs only, from docs.parquet (stored fields),
     the two-round-trip GET_FIELDS pattern.
 
 Scale notes: one searcher holds only per-term cached posting rows (LRU-ish
 dict), never a whole segment; at cluster scale, queries fan out as a Ray
 actor-pool `map_batches` over a query Dataset (`search_queries`), each actor
-serving all segments of a manifest; per-segment scoring is independent and
-could further fan out as tasks per segment group without changing semantics.
+serving all segments of a manifest; `score_matches_dataset` fans one query's
+full match set out as one Ray task per segment.
 """
 
 from __future__ import annotations
@@ -646,7 +647,7 @@ class _SegmentReader:
         if tbl is not None:
             # cached whole-table path (node-shared): binary-search the term
             # column instead of a per-query filtered parquet read — phrase /
-            # span queries call this once per segment per query
+            # span queries call this once per query
             tnp = self._pos_terms_np
             rows = []
             for t in uniq:
@@ -716,7 +717,7 @@ class _SegmentReader:
             self._decoded_bytes += nbytes
 
     def deleted_docs(self) -> np.ndarray | None:
-        """Seg-local deleted doc ordinals (the liveDocs COMPLEMENT — the
+        """Reader-local deleted doc ordinals (the liveDocs COMPLEMENT — the
         reference keeps a live bitset per segment, `lucene/core/src/java/
         org/apache/lucene/index/PendingDeletes.java` +
         `codecs/lucene50/Lucene50LiveDocsFormat.java` generation files);
@@ -736,14 +737,14 @@ class _SegmentReader:
         return self._deleted
 
     def drop_deleted(self, docs: np.ndarray) -> np.ndarray:
-        """Filter seg-local doc ordinals to live docs only."""
+        """Filter reader-local doc ordinals to live docs only."""
         dd = self.deleted_docs()
         if dd is None or len(docs) == 0:
             return docs
         return docs[np.isin(docs, dd, invert=True)]
 
     def docs_matching(self, column: str, value) -> np.ndarray:
-        """Seg-local doc ordinals whose stored field `column` == value
+        """Reader-local doc ordinals whose stored field `column` == value
         (FILTER-clause support; cached per (column, value) — the
         filter-cache analog, `solr/core/src/java/org/apache/solr/search/
         SolrIndexSearcher.java` filterCache)."""
@@ -780,24 +781,19 @@ class _SegmentReader:
         return self._filter_cache[key]
 
     def parent_blocks(self, parent_col: str):
-        """(block_last_doc asc, parent_values) — the per-segment parent
-        bitset of block-join search, derived from the index's resident doc
-        order and cached on the reader (the BitSetProducer/
-        CachingWrapperFilter analog, `lucene/join/src/java/org/apache/
-        lucene/search/join/QueryBitSetProducer.java`).  Valid only when the
-        index was built parent-first (parent_col == id_cols[0]): docs are
-        sorted by id_cols, so each parent's children form one contiguous
-        docID run — Lucene's index-time block contract.  Fails loud on a
-        non-contiguous layout instead of returning wrong joins."""
+        """(block_last_doc asc, parent_values) — the parent bitset of
+        block-join search, derived from the reader's doc order and cached
+        on the reader (the BitSetProducer/CachingWrapperFilter analog,
+        `lucene/join/src/java/org/apache/lucene/search/join/
+        QueryBitSetProducer.java`).  Valid only when the index was built
+        parent-first (parent_col == id_cols[0]): docs are sorted by
+        id_cols, so each parent's children form one contiguous docID run —
+        Lucene's index-time block contract.  Fails loud on a non-contiguous
+        layout instead of returning wrong joins."""
         if not hasattr(self, "_blocks_cache"):
             self._blocks_cache: dict = {}
         if parent_col not in self._blocks_cache:
-            tbl = pq.read_table(
-                os.path.join(self.sdir, "docs.parquet"),
-                columns=["doc", parent_col],
-            )
-            docs = tbl["doc"].to_numpy()
-            vals = tbl[parent_col].to_numpy(zero_copy_only=False)
+            docs, vals = self._load_parent_values(parent_col)
             if len(vals) == 0:
                 self._blocks_cache[parent_col] = (
                     np.zeros(0, dtype=np.int64), vals
@@ -812,12 +808,23 @@ class _SegmentReader:
             if len(np.unique(pvals)) != len(pvals):
                 raise ValueError(
                     f"parent_blocks: {parent_col!r} runs are not contiguous "
-                    f"in {self.sdir} — build the index with "
+                    f"in docID order — build the index with "
                     f"id_cols=({parent_col!r}, ...) so children share one "
                     "docID block"
                 )
             self._blocks_cache[parent_col] = (last, pvals)
         return self._blocks_cache[parent_col]
+
+    def _load_parent_values(self, parent_col: str) -> tuple:
+        """(docs asc, parent_col value per doc), uncached."""
+        tbl = pq.read_table(
+            os.path.join(self.sdir, "docs.parquet"),
+            columns=["doc", parent_col],
+        )
+        return (
+            tbl["doc"].to_numpy(),
+            tbl[parent_col].to_numpy(zero_copy_only=False),
+        )
 
     def fetch_ids(self, docs: np.ndarray, id_cols: list[str]) -> dict:
         """doc -> tuple(id values), reading only needed row groups (docs are
@@ -895,7 +902,10 @@ class _FusedReader(_SegmentReader):
                         f"segment {r.sdir}: docs.parquet holds {t.num_rows} "
                         f"rows for max_doc {r.max_doc}"
                     )
-            ids = pa.concat_tables([t.select(self.id_cols) for t in tbls])
+            ids = pa.concat_tables(
+                [t.select(self.id_cols) for t in tbls]
+                or [pa.table({c: pa.nulls(0) for c in self.id_cols})]
+            )
             order = pc.sort_indices(
                 ids, sort_keys=[(c, "ascending") for c in self.id_cols]
             ).to_numpy()
@@ -991,10 +1001,24 @@ class _FusedReader(_SegmentReader):
         if key not in self._filter_cache:
             maps = self._doc_maps()
             self._filter_cache[key] = np.sort(np.concatenate([
-                maps[i][r.docs_matching(column, value)]
-                for i, r in enumerate(self.readers)
+                np.zeros(0, dtype=np.int64),
+                *(maps[i][r.docs_matching(column, value)]
+                  for i, r in enumerate(self.readers)),
             ]))
         return self._filter_cache[key]
+
+    def _load_parent_values(self, parent_col: str) -> tuple:
+        maps = self._doc_maps()
+        parts = [r._load_parent_values(parent_col) for r in self.readers]
+        docs = np.concatenate([maps[i][d] for i, (d, _) in enumerate(parts)])
+        o = np.argsort(docs, kind="stable")
+        return docs[o], np.concatenate([v for _, v in parts])[o]
+
+    def _id_table(self, id_cols: list[str]) -> pa.Table:
+        self._doc_maps()
+        return self._ids.append_column(
+            "doc", pa.array(np.arange(self._ids.num_rows))
+        )
 
     def _id_rows(self, docs: np.ndarray, id_cols: list[str]) -> pa.Table:
         self._doc_maps()
@@ -1012,16 +1036,102 @@ def _weight_val(x):
     return float(a) if a.ndim == 0 else a
 
 
-def _topk_preselect(d: np.ndarray, s: np.ndarray, k: int):
+def _topk_preselect(d: np.ndarray, s: np.ndarray, k: int, *rest):
     """Exact top-k preselection: np.partition finds the k-th largest score
     in O(n), then only entries with score >= that value (ties INCLUDED, so
     the subsequent doc-asc tie-break lexsort stays rank-exact) survive —
-    replaces a full O(n log n) lexsort over ~1M candidates with O(n)."""
+    replaces a full O(n log n) lexsort over ~1M candidates with O(n).
+    `rest` are arrays aligned with d, filtered alike."""
     if len(d) <= 4 * k or k <= 0:
-        return d, s
+        return (d, s, *rest)
     kth = np.partition(s, len(s) - k)[len(s) - k]
     m = s >= kth
-    return d[m], s[m]
+    return (d[m], s[m], *(r[m] for r in rest))
+
+
+def _collect(reader, id_cols, docs, scores, k, freqs=None) -> list[tuple]:
+    """The TopScoreDocCollector: the k best (docs, scores) by score desc,
+    doc asc, their ids fetched once, as rows (rank, *id_cols, [freq,]
+    score).  A reader's docID order is its id_cols order, so the doc-asc
+    tie-break is the id tie-break."""
+    extra = () if freqs is None else (freqs,)
+    docs, scores, *extra = _topk_preselect(docs, scores, k, *extra)
+    sel = np.lexsort((docs, -scores))[:k]
+    if len(sel) == 0:
+        return []
+    docs, scores = docs[sel], scores[sel]
+    ids = reader.fetch_ids(docs, id_cols)
+    mid = [(int(f),) for f in extra[0][sel]] if extra else [()] * len(sel)
+    return [
+        (rank, *ids[int(d)], *m, float(sc))
+        for rank, (d, m, sc) in enumerate(zip(docs, mid, scores))
+    ]
+
+
+def _rows_by_id(reader, id_cols, docs, values) -> list[tuple]:
+    """[(*id_cols, value)] per doc of `docs` — ascending docIDs, so the
+    rows come sorted by id."""
+    if len(docs) == 0:
+        return []
+    docs = np.asarray(docs, dtype=np.int64)
+    ids = reader.fetch_ids(docs, id_cols)
+    return [(*ids[int(d)], v) for d, v in zip(docs, values)]
+
+
+def _doc_runs(post: tuple | None, docs: np.ndarray) -> list[np.ndarray]:
+    """Per doc of `docs`: a term's int64 positions in that doc, from
+    positions_for's (docs, tfs, positions); empty where the doc (or the
+    whole reader: post None) lacks the term."""
+    if post is None:
+        return [np.zeros(0, dtype=np.int64)] * len(docs)
+    pdocs, tfs, pos = post[:3]
+    at = np.minimum(np.searchsorted(pdocs, docs), len(pdocs) - 1)
+    lens = np.where(pdocs[at] == docs, tfs[at], 0)
+    starts = (np.cumsum(tfs) - tfs)[at]
+    pos = np.asarray(pos, dtype=np.int64)
+    return [pos[s: s + n] for s, n in zip(starts, lens)]
+
+
+def _min_cover(plists: list[np.ndarray]) -> int:
+    """Width of the shortest window holding one position of every
+    (non-empty) list: a sweep over the merged, term-tagged positions that
+    advances the window start while every term stays covered."""
+    need = len(plists)
+    tags = np.repeat(np.arange(need), [len(p) for p in plists])
+    flat = np.concatenate(plists)
+    o = np.argsort(flat, kind="stable")
+    flat, tags = flat[o], tags[o]
+    count = np.zeros(need, dtype=np.int64)
+    covered, lo, best = 0, 0, None
+    for hi in range(len(flat)):
+        if count[tags[hi]] == 0:
+            covered += 1
+        count[tags[hi]] += 1
+        while covered == need:
+            span = int(flat[hi] - flat[lo] + 1)
+            if best is None or span < best:
+                best = span
+            count[tags[lo]] -= 1
+            if count[tags[lo]] == 0:
+                covered -= 1
+            lo += 1
+    return best
+
+
+def _ordered_chains(start: np.ndarray, rest: list[np.ndarray]):
+    """Greedy minimal ordered chains, every start at once: from each start
+    position, link each list of `rest` in turn at its smallest position
+    strictly after the running end (one searchsorted per list; greedy
+    linking gives the minimal end per start).  Returns (start, end, ok),
+    ok marking the starts whose chain completes."""
+    end = start.copy()
+    ok = np.ones(len(start), dtype=bool)
+    for pl in rest:
+        nxt = np.searchsorted(pl, end, side="right")
+        valid = nxt < len(pl)
+        end = np.where(valid, pl[np.minimum(nxt, len(pl) - 1)], end)
+        ok &= valid
+    return start, end, ok
 
 
 class IndexSearcher:
@@ -1045,17 +1155,17 @@ class IndexSearcher:
         ]
         self._fused: _FusedReader | None = None
 
-    def scoring_readers(self) -> list:
-        """The readers the scoring entry points loop over: every live
-        segment fused into one doc space (one kernel call per query), or
-        the lone segment of a 1-segment index as is.  Entry points that read
-        segment files by `reader.sdir` or pair segments by index keep
-        `self.readers`."""
-        if len(self.readers) <= 1:
-            return self.readers
+    def reader(self) -> _SegmentReader:
+        """The one reader every entry point scores: the lone segment of a
+        1-segment index as is, else every live segment fused into one doc
+        space (an index with no segments fuses to an empty one).  Only
+        `score_matches_dataset`, which runs a Ray task per segment, and the
+        `ops/` modules read `self.readers`."""
+        if len(self.readers) == 1:
+            return self.readers[0]
         if self._fused is None:
             self._fused = _FusedReader(self.readers, self.id_cols)
-        return [self._fused]
+        return self._fused
 
     def warm(self, concurrency: int = 8) -> "IndexSearcher":
         """Preload every segment's term dictionary + postings table with a
@@ -1072,31 +1182,19 @@ class IndexSearcher:
         with ThreadPoolExecutor(max_workers=concurrency) as ex:
             list(ex.map(lambda r: r._ensure_loaded(), self.readers))
         if len(self.readers) > 1:
-            self.scoring_readers()[0]._doc_maps()
+            self.reader()._doc_maps()
         return self
 
     # ---- stats ----
     def global_df(self, terms: list[str]) -> dict[str, int]:
-        uniq = list(set(terms))
-        df = dict.fromkeys(uniq, 0)
-        for r in self.scoring_readers():
-            posts = r.postings_for(uniq)
-            for t, row in posts.items():
-                if row is not None:
-                    df[t] += int(row["df"])
-        return df
+        posts = self.reader().postings_for(terms)
+        return {t: int(row["df"]) if row else 0 for t, row in posts.items()}
 
     def global_ttf(self, terms: list[str]) -> dict[str, int]:
-        """Cross-segment total term frequency (CollectionStatistics'
+        """Index-wide total term frequency (CollectionStatistics'
         totalTermFreq — needed by collection-stats similarities)."""
-        uniq = list(set(terms))
-        ttf = dict.fromkeys(uniq, 0)
-        for r in self.scoring_readers():
-            posts = r.postings_for(uniq)
-            for t, row in posts.items():
-                if row is not None:
-                    ttf[t] += int(row["ttf"])
-        return ttf
+        posts = self.reader().postings_for(terms)
+        return {t: int(row["ttf"]) if row else 0 for t, row in posts.items()}
 
     def term_weights(self, order: list[str], df: dict) -> dict[str, float]:
         """Per-term Similarity weight map.  Collection-stats similarities
@@ -1152,7 +1250,7 @@ class IndexSearcher:
         return order, mult, df
 
     def _banned_for(self, reader, q) -> np.ndarray | None:
-        """Seg-local docs excluded by MUST_NOT terms / FILTER clause
+        """Reader-local docs excluded by MUST_NOT terms / FILTER clause
         (ReqExclScorer + filter-clause semantics: non-scoring).  Cached per
         (exclude-set, filter) on the reader — the repeated-query cost is
         otherwise an O(max_doc) complement rebuild per query."""
@@ -1190,54 +1288,53 @@ class IndexSearcher:
             reader._banned_cache[key] = banned
         return banned
 
-    def _segment_match_scores(self, reader, q, order, mult, idf_map):
-        """ALL matching (docs, scores) of a segment, unranked — the dense
-        accumulator shared by the exhaustive top-k kernel and block join
-        (which must see every matching child, not a top-k cut).  Scores sum
-        in query-term order: bit-identical across every consumer."""
+    def _segment_match_scores(
+        self, reader, q, order, mult, idf_map, clauses=()
+    ):
+        """ALL matching (docs, scores) of a reader, unranked — the dense
+        accumulator shared by the exhaustive kernel, phrase/synonym
+        queries and block join (which must see every matching child, not a
+        top-k cut).  `clauses` are extra scored (weight, (docs, tfs,
+        norms)) pseudo-terms — phrase and synonym clauses — each required
+        in "and" mode like a term.  Scores sum in query-term order, then
+        clause order: bit-identical across every consumer."""
         posts = reader.postings_for(order)
-        is_and = q.mode == "and"
         # conjunction = "match all"; mm = "match at least min_match" — one
         # hit-count scatter serves both (for plain OR every positive score
         # marks a match: idf > 0, tf > 0, so no counter is needed)
-        need = len(order) if is_and else max(0, int(q.min_match or 0))
+        need = (
+            len(order) + len(clauses) if q.mode == "and"
+            else max(0, int(q.min_match or 0))
+        )
         acc = np.zeros(reader.max_doc, dtype=np.float64)
         hits = np.zeros(reader.max_doc, dtype=np.int64) if need > 1 else None
-        present = 0
-        for t in order:
-            row = posts.get(t)
-            if row is None:
-                continue
-            present += 1
-            d, tf_arr, nrm = reader.decoded(t, row)
-            tff = tf_arr.astype(np.float64)
-            s = self.sim.score(idf_map[t] * mult[t], tff, self.cache[nrm])
-            acc[d] += s
+        scored = [
+            (idf_map[t] * mult[t], reader.decoded(t, posts[t]))
+            for t in order if posts.get(t) is not None
+        ] + list(clauses)
+        for w, (d, tf_arr, nrm) in scored:
+            acc[d] += self.sim.score(
+                w, tf_arr.astype(np.float64), self.cache[nrm]
+            )
             if hits is not None:
                 hits[d] += 1
-        if present == 0 or present < need:
+        if not scored or len(scored) < need:
             return np.zeros(0, dtype=np.int64), np.zeros(0)
         banned = self._banned_for(reader, q)
         if hits is not None:
             if banned is not None and len(banned):
                 hits[banned] = -(10**9)
             cand = np.nonzero(hits >= need)[0]
-            cand = cand[acc[cand] > 0]  # the score>0 hit contract
         else:
             if banned is not None and len(banned):
                 acc[banned] = 0.0
             cand = np.nonzero(acc)[0]
-        if len(cand) == 0:
-            return cand, np.zeros(0)
+        cand = cand[acc[cand] > 0]  # the score>0 hit contract
         return cand, acc[cand]
 
     def _search_segment_exhaustive(self, reader, q, order, mult, idf_map, k):
-        cand, scores = self._segment_match_scores(reader, q, order, mult, idf_map)
-        if len(cand) == 0:
-            return cand, scores
-        cand, scores = _topk_preselect(cand, scores, k)
-        sel = np.lexsort((cand, -scores))[:k]
-        return cand[sel], scores[sel]
+        """Every match, scored densely; the collector cuts to k."""
+        return self._segment_match_scores(reader, q, order, mult, idf_map)
 
     def _search_segment_single_term(self, reader, q, order, mult, idf_map, k):
         """Impact-ordered top-k for a SINGLE-term query: process blocks in
@@ -1541,23 +1638,14 @@ class IndexSearcher:
             # single-term: impact-ordered early termination beats both
             # kernels regardless of df
             algo = "single"
-        per_seg = {
+        kernel = {
             "wand": self._search_segment_wand,
             "exhaustive": self._search_segment_exhaustive,
             "single": self._search_segment_single_term,
         }[algo]
-        cands = []  # (score, id_tuple)
-        for reader in self.scoring_readers():
-            docs, scores = per_seg(reader, q, order, mult, idf_map, q.k)
-            if len(docs) == 0:
-                continue
-            ids = reader.fetch_ids(docs, self.id_cols)
-            for d, s in zip(docs, scores):
-                cands.append((float(s), ids[int(d)]))
-        cands.sort(key=lambda x: (-x[0],) + tuple(x[1]))
-        return [
-            (rank, *idt, score) for rank, (score, idt) in enumerate(cands[: q.k])
-        ]
+        reader = self.reader()
+        docs, scores = kernel(reader, q, order, mult, idf_map, q.k)
+        return _collect(reader, self.id_cols, docs, scores, q.k)
 
     def search_block_join(
         self,
@@ -1574,9 +1662,9 @@ class IndexSearcher:
         `avg`/`none` (reference: `lucene/join/src/java/org/apache/lucene/
         search/join/ToParentBlockJoinQuery.java` BlockJoinScorer).  Returns
         [(rank, parent_value, score, n_children_matched)] — ties break
-        score desc then parent asc, the TopDocs#merge discipline.  Blocks
-        never span segments (the build hash-partitions on id_cols[0]), so
-        the global merge is a flat top-k over per-segment parent rows."""
+        score desc then parent asc.  The reader's docIDs follow id_cols, so
+        with parent_col == id_cols[0] each parent is one docID block, also
+        when its children sit in several segments."""
         if score_mode not in ("max", "total", "avg", "none"):
             raise ValueError(f"unknown score_mode {score_mode!r}")
         q = Query(
@@ -1588,73 +1676,65 @@ class IndexSearcher:
         if not order:
             return []
         idf_map = self.term_weights(order, df)
-        pvals_all, scores_all, counts_all = [], [], []
-        for reader in self.readers:
-            cand, scores = self._segment_match_scores(
-                reader, q, order, mult, idf_map
-            )
-            if len(cand) == 0:
-                continue
-            last, pvals = reader.parent_blocks(parent_col)
-            b = np.searchsorted(last, cand, side="left")
-            nb = len(last)
-            cnt = np.bincount(b, minlength=nb)
-            if score_mode in ("total", "avg"):
-                agg = np.bincount(b, weights=scores, minlength=nb)
-                if score_mode == "avg":
-                    agg = np.divide(agg, cnt, out=np.zeros(nb), where=cnt > 0)
-            elif score_mode == "max":
-                agg = np.full(nb, -np.inf)
-                np.maximum.at(agg, b, scores)
-            else:  # none: parent matches, score carries no child signal
-                agg = np.zeros(nb)
-            hit = np.nonzero(cnt)[0]
-            pvals_all.append(pvals[hit])
-            scores_all.append(agg[hit])
-            counts_all.append(cnt[hit])
-        if not pvals_all:
+        reader = self.reader()
+        cand, scores = self._segment_match_scores(
+            reader, q, order, mult, idf_map
+        )
+        if len(cand) == 0:
             return []
-        pv = np.concatenate(pvals_all)
-        sc = np.concatenate(scores_all)
-        ct = np.concatenate(counts_all)
+        last, pvals = reader.parent_blocks(parent_col)
+        b = np.searchsorted(last, cand, side="left")
+        nb = len(last)
+        cnt = np.bincount(b, minlength=nb)
+        if score_mode in ("total", "avg"):
+            agg = np.bincount(b, weights=scores, minlength=nb)
+            if score_mode == "avg":
+                agg = np.divide(agg, cnt, out=np.zeros(nb), where=cnt > 0)
+        elif score_mode == "max":
+            agg = np.full(nb, -np.inf)
+            np.maximum.at(agg, b, scores)
+        else:  # none: parent matches, score carries no child signal
+            agg = np.zeros(nb)
+        hit = np.nonzero(cnt)[0]
+        pv, sc, ct = pvals[hit], agg[hit], cnt[hit]
         sel = np.lexsort((pv, -sc))[:k]
         return [
             (rank, pv[i], float(sc[i]), int(ct[i]))
             for rank, i in enumerate(sel)
         ]
 
+    def _phrase_matches(self, terms) -> tuple | None:
+        """(docs, phrase_freqs float64, norms) of an exact phrase, None
+        when nothing matches."""
+        docs, freqs, norms = self._segment_phrase(self.reader(), list(terms))
+        if not docs:
+            return None
+        return (
+            np.asarray(docs, dtype=np.int64),
+            np.asarray(freqs, dtype=np.float64),
+            np.asarray(norms, dtype=np.uint8),
+        )
+
     def _phrase_plan(self, q: Query):
-        """Per phrase clause: clause weight (idf from df = global
-        phrase-match count, times the parsed boost — the PhraseWeight
-        contract: docFreq comes from the phrase's own matches) plus the
-        per-segment sparse matches.  Returns None when an absent phrase
-        makes an AND query empty; OR-mode absent phrases are dropped.
-        Synonym groups (SynonymQuery) produce plan entries of the SAME
-        shape — (weight, per-segment sparse matches) — with per-doc tf
+        """Per phrase clause: (clause weight, sparse matches) — the weight
+        is the idf from df = phrase-match count, times the parsed boost
+        (the PhraseWeight contract: docFreq comes from the phrase's own
+        matches).  Returns None when an absent phrase makes an AND query
+        empty; OR-mode absent phrases are dropped.  Synonym groups
+        (SynonymQuery) produce entries of the SAME shape, with per-doc tf
         summed across members and the weight from blended stats (df = max
-        of members' global dfs, ttf = sum), so the downstream kernel
-        treats them identically."""
+        of members' dfs, ttf = sum), so the kernel treats them
+        identically."""
         plan = []
+        reader = self.reader()
         for pterms, boost in q.phrases or []:
-            seg: dict[int, tuple] = {}
-            df_p = 0
-            for si, reader in enumerate(self.scoring_readers()):
-                docs, freqs, norms = self._segment_phrase(reader, pterms)
-                df_p += len(docs)
-                if docs:
-                    seg[si] = (
-                        np.asarray(docs, dtype=np.int64),
-                        np.asarray(freqs, dtype=np.float64),
-                        np.asarray(norms, dtype=np.uint8),
-                    )
-            if df_p == 0:
+            got = self._phrase_matches(pterms)
+            if got is None:
                 if q.mode == "and":
                     return None
                 continue
-            w = self._pseudo_term_weight(
-                df_p, sum(float(s[1].sum()) for s in seg.values())
-            ) * boost
-            plan.append((w, seg))
+            w = self._pseudo_term_weight(len(got[0]), float(got[1].sum()))
+            plan.append((w * boost, got))
         for sterms, boost in q.synonyms or []:
             gdf = self.global_df(sterms)
             df_s = max(gdf[t] for t in sterms)
@@ -1663,29 +1743,17 @@ class IndexSearcher:
                     return None
                 continue
             ttf_s = sum(self.global_ttf(sterms).values())
-            seg = {}
-            for si, reader in enumerate(self.scoring_readers()):
-                posts = reader.postings_for(sterms)
-                dl, tl, nl = [], [], []
-                for t in sterms:
-                    row = posts.get(t)
-                    if row is None:
-                        continue
-                    d, tf_arr, nrm = reader.decoded(t, row)
-                    dl.append(np.asarray(d, dtype=np.int64))
-                    tl.append(np.asarray(tf_arr, dtype=np.float64))
-                    nl.append(np.asarray(nrm, dtype=np.uint8))
-                if not dl:
-                    continue
-                d_all = np.concatenate(dl)
-                u, inv = np.unique(d_all, return_inverse=True)
-                tf_u = np.zeros(len(u), dtype=np.float64)
-                np.add.at(tf_u, inv, np.concatenate(tl))
-                nrm_u = np.zeros(len(u), dtype=np.uint8)
-                nrm_u[inv] = np.concatenate(nl)  # same doc -> same norm
-                seg[si] = (u, tf_u, nrm_u)
+            posts = reader.postings_for(sterms)
+            parts = [reader.decoded(t, posts[t]) for t in sterms if posts[t]]
+            u, inv = np.unique(
+                np.concatenate([p[0] for p in parts]), return_inverse=True
+            )
+            tf_u = np.zeros(len(u), dtype=np.float64)
+            np.add.at(tf_u, inv, np.concatenate([p[1] for p in parts]))
+            nrm_u = np.zeros(len(u), dtype=np.uint8)
+            nrm_u[inv] = np.concatenate([p[2] for p in parts])  # doc-level
             w = self._pseudo_term_weight(df_s, float(ttf_s)) * boost
-            plan.append((w, seg))
+            plan.append((w, (u, tf_u, nrm_u)))
         return plan
 
     def _search_with_phrases(self, q: Query, order, mult, df) -> list[tuple]:
@@ -1698,68 +1766,11 @@ class IndexSearcher:
         if plan is None or (not order and not plan):
             return []
         idf_map = self.term_weights(order, df)
-        is_and = q.mode == "and"
-        cands = []
-        for si, reader in enumerate(self.scoring_readers()):
-            posts = reader.postings_for(order) if order else {}
-            acc = np.zeros(reader.max_doc, dtype=np.float64)
-            hits = np.zeros(reader.max_doc, dtype=np.int64) if is_and else None
-            matched = np.zeros(reader.max_doc, dtype=bool)
-            present = 0
-            for t in order:
-                row = posts.get(t)
-                if row is None:
-                    continue
-                present += 1
-                d, tf_arr, nrm = reader.decoded(t, row)
-                acc[d] += self.sim.score(
-                    idf_map[t] * mult[t],
-                    tf_arr.astype(np.float64),
-                    self.cache[nrm],
-                )
-                matched[d] = True
-                if is_and:
-                    hits[d] += 1
-            seg_all_phrases = True
-            for w, seg in plan:
-                got = seg.get(si)
-                if got is None:
-                    seg_all_phrases = False
-                    continue
-                docs_p, pf, nrm_p = got
-                acc[docs_p] += self.sim.score(w, pf, self.cache[nrm_p])
-                matched[docs_p] = True
-                if is_and:
-                    hits[docs_p] += 1
-            if is_and and (present < len(order) or not seg_all_phrases):
-                continue
-            banned = self._banned_for(reader, q)
-            if is_and:
-                if banned is not None and len(banned):
-                    hits[banned] = -(10**9)
-                cand = np.nonzero(hits >= len(order) + len(plan))[0]
-            else:
-                if banned is not None and len(banned):
-                    matched[banned] = False
-                cand = np.nonzero(matched)[0]
-            # engine-wide score>0 hit contract (a clamping similarity like
-            # LMDirichlet can score a MATCHED doc exactly 0; every kernel
-            # and every oracle's WHERE s > 0 excludes it)
-            cand = cand[acc[cand] > 0]
-            if len(cand) == 0:
-                continue
-            scores = acc[cand]
-            cand, scores = _topk_preselect(cand, scores, q.k)
-            sel = np.lexsort((cand, -scores))[: q.k]
-            cand, scores = cand[sel], scores[sel]
-            ids = reader.fetch_ids(cand, self.id_cols)
-            for d, s in zip(cand, scores):
-                cands.append((float(s), ids[int(d)]))
-        cands.sort(key=lambda x: (-x[0],) + tuple(x[1]))
-        return [
-            (rank, *idt, score)
-            for rank, (score, idt) in enumerate(cands[: q.k])
-        ]
+        reader = self.reader()
+        docs, scores = self._segment_match_scores(
+            reader, q, order, mult, idf_map, clauses=plan
+        )
+        return _collect(reader, self.id_cols, docs, scores, q.k)
 
     def explain(self, text: str, id_values: tuple, mode: str = "or") -> dict:
         """Score breakdown for one document (the Explanation analog —
@@ -1767,59 +1778,54 @@ class IndexSearcher:
         IndexSearcher.java#explain` + BM25Similarity explain): per matched
         term, tf, df, idf, lossy dl, and the term's contribution; `total`
         is bit-identical to the score search() produces for the doc
-        (asserted in tests).  id_values is the doc's id-column tuple."""
+        (asserted in tests).  id_values is the doc's id-column tuple; a
+        deleted doc, or a version an append superseded, matches nothing."""
+        from rindex.codec import NORM_DECODE_TABLE
+
         q = Query(
             terms=get_analyzer(self.analyzer_name).tokens(text),
             mode=mode, k=1,
         )
+        miss = {"matched": False, "total": 0.0, "details": []}
         order, mult, df = self._term_plan(q)
+        if not order:
+            return miss
         idf_map = self.term_weights(order, df)
-        for reader in self.readers:
-            # predicate-pushdown lookup of the one target doc (a full
-            # doc->id map per segment would be O(max_doc))
-            tbl = pq.read_table(
-                os.path.join(reader.sdir, "docs.parquet"),
-                columns=["doc"],
-                filters=[
-                    (c, "==", v) for c, v in zip(self.id_cols, id_values)
-                ],
-            )
-            if tbl.num_rows == 0:
+        reader = self.reader()
+        tbl = reader._id_table(self.id_cols)
+        mask = None
+        for c, v in zip(self.id_cols, id_values):
+            eq = pc.equal(tbl[c], v)
+            mask = eq if mask is None else pc.and_(mask, eq)
+        live = reader.drop_deleted(tbl["doc"].filter(mask).to_numpy())
+        if len(live) == 0:
+            return miss
+        local = int(live[0])
+        posts = reader.postings_for(order)
+        detail, total = [], 0.0
+        for t in order:
+            d, tf_arr, nrm = reader.decoded(t, posts[t])
+            at = int(np.searchsorted(d, local))
+            if at >= len(d) or d[at] != local:
                 continue
-            local = int(tbl["doc"][0].as_py())
-            detail, total = [], 0.0
-            n_matched = 0
-            for t in order:
-                row = reader.postings_for([t]).get(t)
-                if row is None:
-                    continue
-                d, tf_arr, nrm = reader.decoded(t, row)
-                at = int(np.searchsorted(d, local))
-                if at >= len(d) or d[at] != local:
-                    continue
-                n_matched += 1
-                tf = float(tf_arr[at])
-                norm_b = int(nrm[at])
-                contrib = float(
-                    self.sim.score(
-                        idf_map[t] * mult[t], tf, self.cache[nrm[at:at + 1]][0]
-                    )
+            tf = float(tf_arr[at])
+            contrib = float(
+                self.sim.score(
+                    idf_map[t] * mult[t], tf, self.cache[nrm[at:at + 1]][0]
                 )
-                total += contrib
-                from rindex.codec import NORM_DECODE_TABLE
-
-                detail.append(
-                    {
-                        "term": t, "tf": tf, "df": int(df[t]),
-                        "idf": idf_map[t], "boost_mult": mult[t],
-                        "lossy_dl": int(NORM_DECODE_TABLE[norm_b]),
-                        "contribution": contrib,
-                    }
-                )
-            if not detail or (q.mode == "and" and n_matched < len(order)):
-                return {"matched": False, "total": 0.0, "details": []}
-            return {"matched": True, "total": total, "details": detail}
-        return {"matched": False, "total": 0.0, "details": []}
+            )
+            total += contrib
+            detail.append(
+                {
+                    "term": t, "tf": tf, "df": int(df[t]),
+                    "idf": idf_map[t], "boost_mult": mult[t],
+                    "lossy_dl": int(NORM_DECODE_TABLE[int(nrm[at])]),
+                    "contribution": contrib,
+                }
+            )
+        if not detail or (q.mode == "and" and len(detail) < len(order)):
+            return miss
+        return {"matched": True, "total": total, "details": detail}
 
     def search_boolean(self, tree, k: int = 10) -> list[tuple]:
         """Nested BooleanQuery tree search (Lucene QueryParser parentheses:
@@ -1874,122 +1880,92 @@ class IndexSearcher:
         order = list(leaves)
         df = self.global_df(order)
         idf_map = self.term_weights([t for t in order if df[t] > 0], df)
-        # phrase leaves: per-segment matches + PhraseWeight stats up front
-        # (df = global phrase-match count — the PhraseWeight contract)
+        # phrase leaves: matches + PhraseWeight stats up front (df = the
+        # phrase-match count — the PhraseWeight contract)
         phrase_plan: dict[tuple, tuple] = {}
         for pterms, scoring in phrase_nodes.items():
-            seg: dict[int, tuple] = {}
-            df_p, ttf_p = 0, 0.0
-            for si, reader in enumerate(self.scoring_readers()):
-                docs, freqs, norms = self._segment_phrase(
-                    reader, list(pterms)
-                )
-                df_p += len(docs)
-                if len(docs):
-                    seg[si] = (
-                        np.asarray(docs, dtype=np.int64),
-                        np.asarray(freqs, dtype=np.float64),
-                        np.asarray(norms, dtype=np.uint8),
-                    )
-                    ttf_p += float(seg[si][1].sum())
+            got = self._phrase_matches(pterms)
             w = (
-                self._pseudo_term_weight(df_p, ttf_p)
-                if (scoring and df_p)
+                self._pseudo_term_weight(len(got[0]), float(got[1].sum()))
+                if (scoring and got is not None)
                 else 0.0
             )
-            phrase_plan[pterms] = (w, seg)
-        cands = []
-        for si, reader in enumerate(self.scoring_readers()):
-            posts = reader.postings_for(sorted(set(all_terms(tree))))
-            acc = np.zeros(reader.max_doc, dtype=np.float64)
-            masks: dict[str, np.ndarray] = {}
+            phrase_plan[pterms] = (w, got)
+        reader = self.reader()
+        posts = reader.postings_for(sorted(set(all_terms(tree))))
+        acc = np.zeros(reader.max_doc, dtype=np.float64)
+        masks: dict[str, np.ndarray] = {}
 
-            def term_mask(t):
-                m = masks.get(t)
-                if m is None:
-                    m = np.zeros(reader.max_doc, dtype=bool)
-                    row = posts.get(t)
-                    if row is not None:
-                        d, _tf, _n = reader.decoded(t, row)
-                        m[d] = True
-                    masks[t] = m
-                return m
-
-            for t in order:
-                row = posts.get(t)
-                if row is None or df[t] == 0:
-                    continue
-                d, tf_arr, nrm = reader.decoded(t, row)
-                acc[d] += self.sim.score(
-                    idf_map[t] * leaves[t],
-                    tf_arr.astype(np.float64),
-                    self.cache[nrm],
-                )
-            # scoring phrase leaves: sim.score(w_p, phrase_freq, norm)
-            for _pterms, (w_p, seg) in phrase_plan.items():
-                s_ = seg.get(si)
-                if s_ is not None and w_p:
-                    pd_, pf_, pn_ = s_
-                    acc[pd_] += self.sim.score(w_p, pf_, self.cache[pn_])
-
-            def const_mask(terms):
+        def term_mask(t):
+            m = masks.get(t)
+            if m is None:
                 m = np.zeros(reader.max_doc, dtype=bool)
-                for t in terms:
-                    m |= term_mask(t)
-                return m
+                row = posts.get(t)
+                if row is not None:
+                    m[reader.decoded(t, row)[0]] = True
+                masks[t] = m
+            return m
 
-            # constant-score leaves (prefix/fuzzy CONSTANT_SCORE_REWRITE):
-            # a flat 1.0 where the expansion matches
-            for cterms in const_scoring:
-                acc[const_mask(cterms)] += 1.0
-
-            def ev(node):
-                if node[0] == "term":
-                    return term_mask(node[1])
-                if node[0] == "const":
-                    return const_mask(node[1])
-                if node[0] == "phrase":
-                    m = np.zeros(reader.max_doc, dtype=bool)
-                    s_ = phrase_plan[tuple(node[1])][1].get(si)
-                    if s_ is not None:
-                        m[s_[0]] = True
-                    return m
-                if node[0] == "not":
-                    return ~ev(node[1])
-                parts = [ev(ch) for ch in node[1]]
-                out = parts[0].copy()
-                for p in parts[1:]:
-                    if node[0] == "and":
-                        out &= p
-                    else:
-                        out |= p
-                return out
-
-            matched = ev(tree)
-            deleted = reader.deleted_docs()
-            if deleted is not None and len(deleted):
-                matched[deleted] = False
-            cand = np.nonzero(matched & (acc > 0))[0]
-            if len(cand) == 0:
+        for t in order:
+            if df[t] == 0:
                 continue
-            scores = acc[cand]
-            cand, scores = _topk_preselect(cand, scores, k)
-            sel = np.lexsort((cand, -scores))[:k]
-            cand, scores = cand[sel], scores[sel]
-            ids = reader.fetch_ids(cand, self.id_cols)
-            for d, s in zip(cand, scores):
-                cands.append((float(s), ids[int(d)]))
-        cands.sort(key=lambda x: (-x[0],) + tuple(x[1]))
-        return [
-            (rank, *idt, score)
-            for rank, (score, idt) in enumerate(cands[:k])
-        ]
+            d, tf_arr, nrm = reader.decoded(t, posts[t])
+            acc[d] += self.sim.score(
+                idf_map[t] * leaves[t],
+                tf_arr.astype(np.float64),
+                self.cache[nrm],
+            )
+        # scoring phrase leaves: sim.score(w_p, phrase_freq, norm)
+        for w_p, got in phrase_plan.values():
+            if got is not None and w_p:
+                pd_, pf_, pn_ = got
+                acc[pd_] += self.sim.score(w_p, pf_, self.cache[pn_])
+
+        def const_mask(terms):
+            m = np.zeros(reader.max_doc, dtype=bool)
+            for t in terms:
+                m |= term_mask(t)
+            return m
+
+        # constant-score leaves (prefix/fuzzy CONSTANT_SCORE_REWRITE): a
+        # flat 1.0 where the expansion matches
+        for cterms in const_scoring:
+            acc[const_mask(cterms)] += 1.0
+
+        def ev(node):
+            if node[0] == "term":
+                return term_mask(node[1])
+            if node[0] == "const":
+                return const_mask(node[1])
+            if node[0] == "phrase":
+                m = np.zeros(reader.max_doc, dtype=bool)
+                got = phrase_plan[tuple(node[1])][1]
+                if got is not None:
+                    m[got[0]] = True
+                return m
+            if node[0] == "not":
+                return ~ev(node[1])
+            parts = [ev(ch) for ch in node[1]]
+            out = parts[0].copy()
+            for p in parts[1:]:
+                if node[0] == "and":
+                    out &= p
+                else:
+                    out |= p
+            return out
+
+        matched = ev(tree)
+        deleted = reader.deleted_docs()
+        if deleted is not None and len(deleted):
+            matched[deleted] = False
+        cand = np.nonzero(matched & (acc > 0))[0]
+        return _collect(reader, self.id_cols, cand, acc[cand], k)
 
     def search_phrase(self, text: str) -> list[tuple]:
         """Exact PhraseQuery (slop=0) evaluated on positional postings:
-        per segment, conjunct the phrase terms' doc lists, then intersect
-        position sets with per-term offsets (term j must appear at p + j) —
-        the ExactPhraseMatcher algorithm re-expressed in numpy (reference:
+        conjunct the phrase terms' doc lists, then intersect position sets
+        with per-term offsets (term j must appear at p + j) — the
+        ExactPhraseMatcher algorithm re-expressed in numpy (reference:
         `lucene/core/src/java/org/apache/lucene/search/
         ExactPhraseMatcher.java`).  Requires a with_positions index.
 
@@ -1997,25 +1973,14 @@ class IndexSearcher:
         terms = get_analyzer(self.analyzer_name).tokens(text)
         if not terms:
             return []
-        results: list[tuple] = []
-        for reader in self.scoring_readers():
-            match_docs, match_freq, _norms = self._segment_phrase(
-                reader, terms
-            )
-            if match_docs:
-                ids = reader.fetch_ids(
-                    np.asarray(match_docs, dtype=np.int64), self.id_cols
-                )
-                results.extend(
-                    (*ids[d], f) for d, f in zip(match_docs, match_freq)
-                )
-        results.sort(key=lambda r: r[:-1])
-        return results
+        reader = self.reader()
+        docs, freqs, _norms = self._segment_phrase(reader, terms)
+        return _rows_by_id(reader, self.id_cols, docs, freqs)
 
     def _segment_phrase(self, reader, terms):
-        """Per-segment exact-phrase matches -> (docs, phrase_freqs, norm
-        bytes) — the norm comes from the first term's postings (norms are
-        doc-level, identical on every term of the doc)."""
+        """A reader's exact-phrase matches -> (docs, phrase_freqs, norm
+        bytes) as lists — the norm comes from the first term's postings
+        (norms are doc-level, identical on every term of the doc)."""
         posts = reader.positions_for(terms)
         if any(posts[t] is None for t in terms):
             return [], [], []
@@ -2056,40 +2021,43 @@ class IndexSearcher:
 
         Returns [(rank, *id_cols, phrase_freq, score)]."""
         terms = get_analyzer(self.analyzer_name).tokens(text)
-        if not terms:
+        got = self._phrase_matches(terms) if terms else None
+        if got is None:
             return []
-        per_seg = []
-        df_phrase = 0
-        for reader in self.scoring_readers():
-            docs, freqs, norms = self._segment_phrase(reader, terms)
-            df_phrase += len(docs)
-            if docs:
-                per_seg.append((reader, docs, freqs, norms))
-        if df_phrase == 0:
-            return []
-        w = self._pseudo_term_weight(
-            df_phrase,
-            sum(float(np.asarray(f, np.float64).sum())
-                for _r, _d, f, _n in per_seg),
+        docs, pf, nrm = got
+        w = self._pseudo_term_weight(len(docs), float(pf.sum()))
+        scores = self.sim.score(w, pf, self.cache[nrm])
+        hit = scores > 0  # score>0 hit contract (clamping similarities)
+        return _collect(
+            self.reader(), self.id_cols, docs[hit], scores[hit], k,
+            freqs=pf[hit],
         )
-        cands = []
-        for reader, docs, freqs, norms in per_seg:
-            pf = np.asarray(freqs, dtype=np.float64)
-            nrm = np.asarray(norms, dtype=np.uint8)
-            scores = self.sim.score(w, pf, self.cache[nrm])
-            ids = reader.fetch_ids(
-                np.asarray(docs, dtype=np.int64), self.id_cols
-            )
-            cands.extend(
-                (float(s), ids[d], int(f))
-                for d, s, f in zip(docs, scores, freqs)
-                if s > 0  # score>0 hit contract (clamping similarities)
-            )
-        cands.sort(key=lambda x: (-x[0],) + tuple(x[1]))
-        return [
-            (rank, *idt, f, score)
-            for rank, (score, idt, f) in enumerate(cands[:k])
-        ]
+
+    def _positional(self, terms: list[str]):
+        """(reader, live docs holding every term, {term: per-doc int64
+        positions}) — the preamble of the proximity and span queries."""
+        reader = self.reader()
+        uniq = list(dict.fromkeys(terms))
+        posts = reader.positions_for(uniq)
+        if any(posts[t] is None for t in uniq):
+            return reader, np.zeros(0, dtype=np.int64), {}
+        docs = posts[uniq[0]][0]
+        for t in uniq[1:]:
+            docs = np.intersect1d(docs, posts[t][0])
+        docs = reader.drop_deleted(docs)
+        return reader, docs, {t: _doc_runs(posts[t], docs) for t in uniq}
+
+    def _min_cover_rows(self, terms: list[str], accept) -> list[tuple]:
+        """[(*id_cols, width)] of the live docs whose shortest window
+        holding one occurrence of every term has an `accept`ed width."""
+        reader, docs, runs = self._positional(terms)
+        keep, widths = [], []
+        for i, d in enumerate(docs):
+            best = _min_cover([runs[t][i] for t in terms])
+            if accept(best):
+                keep.append(d)
+                widths.append(best)
+        return _rows_by_id(reader, self.id_cols, keep, widths)
 
     def search_proximity(self, text: str, window: int) -> list[tuple]:
         """Proximity query on positional postings: docs where ONE occurrence
@@ -2103,61 +2071,7 @@ class IndexSearcher:
         terms = list(dict.fromkeys(get_analyzer(self.analyzer_name).tokens(text)))
         if not terms:
             return []
-        results: list[tuple] = []
-        for reader in self.readers:
-            posts = reader.positions_for(terms)
-            if any(posts[t] is None for t in terms):
-                continue
-            common = posts[terms[0]][0]
-            for t in terms[1:]:
-                common = np.intersect1d(common, posts[t][0])
-            common = reader.drop_deleted(common)
-            if len(common) == 0:
-                continue
-            runs = []
-            for t in terms:
-                docs, tfs, pos = posts[t][:3]
-                starts = np.concatenate([[0], np.cumsum(tfs)[:-1]])
-                at = np.searchsorted(docs, common)
-                runs.append((starts[at], tfs[at], pos))
-            match_docs, match_span = [], []
-            for i, d in enumerate(common):
-                # merged sweep: positions tagged by term, advance a window
-                # keeping one-of-each-term coverage, track min span
-                ps = [p[s[i]: s[i] + ln[i]] for s, ln, p in runs]
-                tags = np.repeat(np.arange(len(terms)), [len(x) for x in ps])
-                flat = np.concatenate(ps)
-                o = np.argsort(flat, kind="stable")
-                flat, tags = flat[o], tags[o]
-                need = len(terms)
-                count = np.zeros(need, dtype=np.int64)
-                covered = 0
-                lo = 0
-                best = None
-                for hi in range(len(flat)):
-                    if count[tags[hi]] == 0:
-                        covered += 1
-                    count[tags[hi]] += 1
-                    while covered == need:
-                        span = int(flat[hi] - flat[lo] + 1)
-                        if best is None or span < best:
-                            best = span
-                        count[tags[lo]] -= 1
-                        if count[tags[lo]] == 0:
-                            covered -= 1
-                        lo += 1
-                if best is not None and best <= window:
-                    match_docs.append(int(d))
-                    match_span.append(best)
-            if match_docs:
-                ids = reader.fetch_ids(
-                    np.asarray(match_docs, dtype=np.int64), self.id_cols
-                )
-                results.extend(
-                    (*ids[d], s) for d, s in zip(match_docs, match_span)
-                )
-        results.sort(key=lambda r: r[:-1])
-        return results
+        return self._min_cover_rows(terms, lambda best: best <= window)
 
     def search_span_near(
         self, text: str, slop: int, in_order: bool = True
@@ -2166,12 +2080,9 @@ class IndexSearcher:
         spans/SpanNearQuery.java`).  inOrder=True: the query terms must
         appear IN ORDER, and the minimal ordered span's width minus the
         term count must be <= slop (Lucene's ordered-span slop contract).
-        Per candidate doc the minimal chain is found greedily — for every
-        occurrence of term 1, chain each later term to its smallest
-        position strictly after the running end, ALL starts advanced at
-        once via one searchsorted per term (greedy chaining yields the
-        minimal end per start, so the min over starts is the true minimum
-        width).
+        Per candidate doc the minimal chain is found greedily
+        (`_ordered_chains`: every occurrence of term 1 starts a chain, so
+        the min over starts is the true minimum width).
 
         inOrder=False: any arrangement counts — the minimal COVERING span
         holding one occurrence of every term (the search_proximity
@@ -2190,111 +2101,22 @@ class IndexSearcher:
                 raise ValueError(
                     "span_near(in_order=False) requires distinct terms"
                 )
-            return self._span_near_unordered(terms, slop)
-        uniq = list(dict.fromkeys(terms))
-        results: list[tuple] = []
-        for reader in self.readers:
-            posts = reader.positions_for(uniq)
-            if any(posts[t] is None for t in uniq):
+            return self._min_cover_rows(
+                terms, lambda best: best - len(terms) <= slop
+            )
+        reader, docs, runs = self._positional(terms)
+        keep, widths = [], []
+        for i, d in enumerate(docs):
+            start, end, ok = _ordered_chains(
+                runs[terms[0]][i], [runs[t][i] for t in terms[1:]]
+            )
+            if not ok.any():
                 continue
-            common = posts[uniq[0]][0]
-            for t in uniq[1:]:
-                common = np.intersect1d(common, posts[t][0])
-            common = reader.drop_deleted(common)
-            if len(common) == 0:
-                continue
-            runs = {}
-            for t in uniq:
-                docs, tfs, pos = posts[t][:3]
-                starts = np.concatenate([[0], np.cumsum(tfs)[:-1]])
-                at = np.searchsorted(docs, common)
-                runs[t] = (starts[at], tfs[at], pos)
-            match_docs, match_width = [], []
-            for i, d in enumerate(common):
-                plists = [
-                    runs[t][2][runs[t][0][i] : runs[t][0][i] + runs[t][1][i]]
-                    for t in terms
-                ]
-                start = np.asarray(plists[0], dtype=np.int64)
-                end = start.copy()
-                ok = np.ones(len(start), dtype=bool)
-                for pl in plists[1:]:
-                    pl = np.asarray(pl, dtype=np.int64)
-                    nxt = np.searchsorted(pl, end, side="right")
-                    valid = nxt < len(pl)
-                    end = np.where(valid, pl[np.minimum(nxt, len(pl) - 1)], end)
-                    ok &= valid
-                if not ok.any():
-                    continue
-                width = int((end[ok] - start[ok]).min()) + 1
-                if width - len(terms) <= slop:
-                    match_docs.append(int(d))
-                    match_width.append(width)
-            if match_docs:
-                ids = reader.fetch_ids(
-                    np.asarray(match_docs, dtype=np.int64), self.id_cols
-                )
-                results.extend(
-                    (*ids[d], w) for d, w in zip(match_docs, match_width)
-                )
-        results.sort(key=lambda r: r[:-1])
-        return results
-
-    def _span_near_unordered(self, terms: list[str], slop: int) -> list[tuple]:
-        """NearSpansUnordered: minimal covering span per doc (merged
-        position sweep, one-of-each-term window) filtered by
-        width - len(terms) <= slop; returns [( *id_cols, min_width )]."""
-        results: list[tuple] = []
-        need = len(terms)
-        for reader in self.readers:
-            posts = reader.positions_for(terms)
-            if any(posts[t] is None for t in terms):
-                continue
-            common = posts[terms[0]][0]
-            for t in terms[1:]:
-                common = np.intersect1d(common, posts[t][0])
-            common = reader.drop_deleted(common)
-            if len(common) == 0:
-                continue
-            runs = []
-            for t in terms:
-                docs, tfs, pos = posts[t][:3]
-                starts = np.concatenate([[0], np.cumsum(tfs)[:-1]])
-                at = np.searchsorted(docs, common)
-                runs.append((starts[at], tfs[at], pos))
-            match_docs, match_width = [], []
-            for i, d in enumerate(common):
-                ps = [p[s[i]: s[i] + ln[i]] for s, ln, p in runs]
-                tags = np.repeat(np.arange(need), [len(x) for x in ps])
-                flat = np.concatenate(ps)
-                o = np.argsort(flat, kind="stable")
-                flat, tags = flat[o], tags[o]
-                count = np.zeros(need, dtype=np.int64)
-                covered, lo, best = 0, 0, None
-                for hi in range(len(flat)):
-                    if count[tags[hi]] == 0:
-                        covered += 1
-                    count[tags[hi]] += 1
-                    while covered == need:
-                        span = int(flat[hi] - flat[lo] + 1)
-                        if best is None or span < best:
-                            best = span
-                        count[tags[lo]] -= 1
-                        if count[tags[lo]] == 0:
-                            covered -= 1
-                        lo += 1
-                if best is not None and best - need <= slop:
-                    match_docs.append(int(d))
-                    match_width.append(best)
-            if match_docs:
-                ids = reader.fetch_ids(
-                    np.asarray(match_docs, dtype=np.int64), self.id_cols
-                )
-                results.extend(
-                    (*ids[d], w) for d, w in zip(match_docs, match_width)
-                )
-        results.sort(key=lambda r: r[:-1])
-        return results
+            width = int((end[ok] - start[ok]).min()) + 1
+            if width - len(terms) <= slop:
+                keep.append(d)
+                widths.append(width)
+        return _rows_by_id(reader, self.id_cols, keep, widths)
 
     def search_span_not(
         self, include_text: str, exclude: str, slop: int
@@ -2316,145 +2138,83 @@ class IndexSearcher:
         exc = get_analyzer(self.analyzer_name).tokens(exclude)
         if len(exc) != 1:
             raise ValueError("span_not takes exactly one exclude term")
-        exc = exc[0]
-        uniq = list(dict.fromkeys(terms))
-        results: list[tuple] = []
-        for reader in self.readers:
-            posts = reader.positions_for(uniq + [exc])
-            if any(posts[t] is None for t in uniq):
-                continue
-            common = posts[uniq[0]][0]
-            for t in uniq[1:]:
-                common = np.intersect1d(common, posts[t][0])
-            common = reader.drop_deleted(common)
-            if len(common) == 0:
-                continue
-            runs = {}
-            for t in uniq:
-                docs, tfs, pos = posts[t][:3]
-                starts = np.concatenate([[0], np.cumsum(tfs)[:-1]])
-                at = np.searchsorted(docs, common)
-                runs[t] = (starts[at], tfs[at], pos)
-            epost = posts[exc]
-            if epost is not None:
-                edocs, etfs, epos = epost[:3]
-                estarts = np.concatenate([[0], np.cumsum(etfs)[:-1]])
-            match_docs, match_width = [], []
-            for i, d in enumerate(common):
-                plists = [
-                    runs[t][2][runs[t][0][i]: runs[t][0][i] + runs[t][1][i]]
-                    for t in terms
-                ]
-                start = np.asarray(plists[0], dtype=np.int64)
-                end = start.copy()
-                ok = np.ones(len(start), dtype=bool)
-                for pl in plists[1:]:
-                    pl = np.asarray(pl, dtype=np.int64)
-                    nxt = np.searchsorted(pl, end, side="right")
-                    valid = nxt < len(pl)
-                    end = np.where(valid, pl[np.minimum(nxt, len(pl) - 1)], end)
-                    ok &= valid
-                ok &= (end - start + 1) - len(terms) <= slop
-                if not ok.any():
-                    continue
-                if epost is not None:
-                    at = np.searchsorted(edocs, d)
-                    if at < len(edocs) and edocs[at] == d:
-                        pe = np.asarray(
-                            epos[estarts[at]: estarts[at] + etfs[at]],
-                            dtype=np.int64,
-                        )
-                        inside = (
-                            np.searchsorted(pe, end, side="right")
-                            - np.searchsorted(pe, start, side="left")
-                        ) > 0
-                        ok &= ~inside
-                if not ok.any():
-                    continue
-                match_docs.append(int(d))
-                match_width.append(int((end[ok] - start[ok] + 1).min()))
-            if match_docs:
-                ids = reader.fetch_ids(
-                    np.asarray(match_docs, dtype=np.int64), self.id_cols
-                )
-                results.extend(
-                    (*ids[d], w) for d, w in zip(match_docs, match_width)
-                )
-        results.sort(key=lambda r: r[:-1])
-        return results
+        reader, docs, runs = self._positional(terms)
+        excl = _doc_runs(reader.positions_for(exc)[exc[0]], docs)
+        keep, widths = [], []
+        for i, d in enumerate(docs):
+            start, end, ok = _ordered_chains(
+                runs[terms[0]][i], [runs[t][i] for t in terms[1:]]
+            )
+            ok &= (end - start + 1) - len(terms) <= slop
+            inside = (
+                np.searchsorted(excl[i], end, side="right")
+                - np.searchsorted(excl[i], start, side="left")
+            ) > 0
+            ok &= ~inside
+            if ok.any():
+                keep.append(d)
+                widths.append(int((end[ok] - start[ok] + 1).min()))
+        return _rows_by_id(reader, self.id_cols, keep, widths)
 
     def search_span_first(self, text: str, end: int) -> list[tuple]:
         """SpanFirstQuery (`lucene/core/src/java/org/apache/lucene/search/
         spans/SpanFirstQuery.java`): the term must occur within the first
         `end` positions of the field (span end <= end, i.e. 0-based
-        position < end).  One positional-postings read per segment; the
-        first position per doc is the head of its position run (positions
-        are stored in token order).
+        position < end).  One positional-postings read; the first
+        position per doc is the head of its position run (positions are
+        stored in token order).
 
         Returns [( *id_cols, first_pos )] (0-based) sorted by id cols."""
         terms = get_analyzer(self.analyzer_name).tokens(text)
         if len(terms) != 1:
             raise ValueError("span_first takes exactly one term")
-        t = terms[0]
-        results: list[tuple] = []
-        for reader in self.readers:
-            got = reader.positions_for([t])[t]
-            if got is None:
-                continue
-            docs, tfs, pos = got[:3]
-            docs = np.asarray(docs, dtype=np.int64)
-            starts = np.concatenate([[0], np.cumsum(tfs)[:-1]])
-            first = np.asarray(pos, dtype=np.int64)[starts]
-            keep = first < end
-            docs, first = docs[keep], first[keep]
-            docs_live = reader.drop_deleted(docs)
-            if len(docs_live) < len(docs):
-                m = np.isin(docs, docs_live)
-                docs, first = docs[m], first[m]
-            if len(docs) == 0:
-                continue
-            ids = reader.fetch_ids(docs, self.id_cols)
-            results.extend(
-                (*ids[int(d)], int(p)) for d, p in zip(docs, first)
-            )
-        results.sort(key=lambda r: r[:-1])
-        return results
+        reader = self.reader()
+        got = reader.positions_for(terms)[terms[0]]
+        if got is None:
+            return []
+        docs, tfs, pos = got[:3]
+        first = np.asarray(pos, dtype=np.int64)[np.cumsum(tfs) - tfs]
+        keep = first < end
+        docs, first = docs[keep], first[keep]
+        live = np.isin(docs, reader.drop_deleted(docs))
+        return _rows_by_id(
+            reader, self.id_cols, docs[live], first[live].tolist()
+        )
 
-    def _valid_chains2(self, reader, a: str, b: str, slop: int):
-        """Per-segment minimal ordered (a, b) chains within slop: yields
-        (doc, s, e) with s = a-positions whose FIRST b after them closes a
-        span of width - 2 <= slop (the same per-start greedy enumeration
-        the other span kernels use).  s is ascending and e nondecreasing
+    def _valid_chains2(self, a: str, b: str, slop: int):
+        """Minimal ordered (a, b) chains within slop: yields (doc, s, e)
+        with s = a-positions whose FIRST b after them closes a span of
+        width - 2 <= slop (the same per-start greedy enumeration the other
+        span kernels use).  s is ascending and e nondecreasing
         (first-b-after is monotone in the start), which SpanWithin's
         coverage test relies on."""
-        posts = reader.positions_for([a, b])
-        if posts[a] is None or posts[b] is None:
-            return
-        adocs, atfs, apos = posts[a][:3]
-        bdocs, btfs, bpos = posts[b][:3]
-        common = reader.drop_deleted(np.intersect1d(adocs, bdocs))
-        if len(common) == 0:
-            return
-        astarts = np.concatenate([[0], np.cumsum(atfs)[:-1]])
-        bstarts = np.concatenate([[0], np.cumsum(btfs)[:-1]])
-        ai = np.searchsorted(adocs, common)
-        bi = np.searchsorted(bdocs, common)
-        for k, d in enumerate(common):
-            pa_ = np.asarray(
-                apos[astarts[ai[k]]: astarts[ai[k]] + atfs[ai[k]]],
-                dtype=np.int64,
-            )
-            pb = np.asarray(
-                bpos[bstarts[bi[k]]: bstarts[bi[k]] + btfs[bi[k]]],
-                dtype=np.int64,
-            )
-            nxt = np.searchsorted(pb, pa_, side="right")
-            valid = nxt < len(pb)
-            s = pa_[valid]
-            e = pb[nxt[valid]]
-            ok = (e - s + 1) - 2 <= slop
+        _reader, docs, runs = self._positional([a, b])
+        for i, d in enumerate(docs):
+            s, e, ok = _ordered_chains(runs[a][i], [runs[b][i]])
+            ok &= (e - s + 1) - 2 <= slop
             if ok.any():
                 yield int(d), s[ok], e[ok]
+
+    def _little_counts(self, what, little, big_a, big_b, slop, count):
+        """[(*id_cols, n)] over the docs holding an ordered (big_a, big_b)
+        chain within slop, n = count(chain starts, chain ends, the doc's
+        `little` positions) when > 0."""
+        lt = get_analyzer(self.analyzer_name).tokens(little)
+        if len(lt) != 1:
+            raise ValueError(f"{what} takes exactly one little term")
+        reader = self.reader()
+        lpost = reader.positions_for(lt)[lt[0]]
+        if lpost is None:
+            return []
+        chains = list(self._valid_chains2(big_a, big_b, slop))
+        docs = np.array([c[0] for c in chains], dtype=np.int64)
+        keep, ns = [], []
+        for (d, s, e), pl in zip(chains, _doc_runs(lpost, docs)):
+            n = int(count(s, e, pl).sum())
+            if n:
+                keep.append(d)
+                ns.append(n)
+        return _rows_by_id(reader, self.id_cols, keep, ns)
 
     def search_span_within(
         self, little: str, big_a: str, big_b: str, slop: int
@@ -2468,42 +2228,14 @@ class IndexSearcher:
 
         Returns [( *id_cols, n_within )] over docs with >= 1 enclosed
         occurrence."""
-        lt = get_analyzer(self.analyzer_name).tokens(little)
-        if len(lt) != 1:
-            raise ValueError("span_within takes exactly one little term")
-        lt = lt[0]
-        results: list[tuple] = []
-        for reader in self.readers:
-            lpost = reader.positions_for([lt])[lt]
-            if lpost is None:
-                continue
-            ldocs, ltfs, lpos = lpost[:3]
-            ldocs = np.asarray(ldocs, dtype=np.int64)
-            lstarts = np.concatenate([[0], np.cumsum(ltfs)[:-1]])
-            match_docs, match_n = [], []
-            for d, s, e in self._valid_chains2(reader, big_a, big_b, slop):
-                at = np.searchsorted(ldocs, d)
-                if at >= len(ldocs) or ldocs[at] != d:
-                    continue
-                pl = np.asarray(
-                    lpos[lstarts[at]: lstarts[at] + ltfs[at]],
-                    dtype=np.int64,
-                )
-                idx = np.searchsorted(s, pl, side="right") - 1
-                covered = (idx >= 0) & (e[np.maximum(idx, 0)] >= pl)
-                n = int(covered.sum())
-                if n:
-                    match_docs.append(d)
-                    match_n.append(n)
-            if match_docs:
-                ids = reader.fetch_ids(
-                    np.asarray(match_docs, dtype=np.int64), self.id_cols
-                )
-                results.extend(
-                    (*ids[d], n) for d, n in zip(match_docs, match_n)
-                )
-        results.sort(key=lambda r: r[:-1])
-        return results
+
+        def covered(s, e, pl):
+            idx = np.searchsorted(s, pl, side="right") - 1
+            return (idx >= 0) & (e[np.maximum(idx, 0)] >= pl)
+
+        return self._little_counts(
+            "span_within", little, big_a, big_b, slop, covered
+        )
 
     def search_span_containing(
         self, big_a: str, big_b: str, little: str, slop: int
@@ -2515,44 +2247,16 @@ class IndexSearcher:
         searchsorted's against the doc's sorted little positions.
 
         Returns [( *id_cols, n_containing )]."""
-        lt = get_analyzer(self.analyzer_name).tokens(little)
-        if len(lt) != 1:
-            raise ValueError("span_containing takes exactly one little term")
-        lt = lt[0]
-        results: list[tuple] = []
-        for reader in self.readers:
-            lpost = reader.positions_for([lt])[lt]
-            if lpost is None:
-                continue
-            ldocs, ltfs, lpos = lpost[:3]
-            ldocs = np.asarray(ldocs, dtype=np.int64)
-            lstarts = np.concatenate([[0], np.cumsum(ltfs)[:-1]])
-            match_docs, match_n = [], []
-            for d, s, e in self._valid_chains2(reader, big_a, big_b, slop):
-                at = np.searchsorted(ldocs, d)
-                if at >= len(ldocs) or ldocs[at] != d:
-                    continue
-                pl = np.asarray(
-                    lpos[lstarts[at]: lstarts[at] + ltfs[at]],
-                    dtype=np.int64,
-                )
-                has = (
-                    np.searchsorted(pl, e, side="right")
-                    - np.searchsorted(pl, s, side="left")
-                ) > 0
-                n = int(has.sum())
-                if n:
-                    match_docs.append(d)
-                    match_n.append(n)
-            if match_docs:
-                ids = reader.fetch_ids(
-                    np.asarray(match_docs, dtype=np.int64), self.id_cols
-                )
-                results.extend(
-                    (*ids[d], n) for d, n in zip(match_docs, match_n)
-                )
-        results.sort(key=lambda r: r[:-1])
-        return results
+
+        def contains(s, e, pl):
+            return (
+                np.searchsorted(pl, e, side="right")
+                - np.searchsorted(pl, s, side="left")
+            ) > 0
+
+        return self._little_counts(
+            "span_containing", little, big_a, big_b, slop, contains
+        )
 
     def search_span_or_near(
         self, or_text: str, then_text: str, slop: int
@@ -2576,58 +2280,25 @@ class IndexSearcher:
                 "then-term"
             )
         then = then_terms[0]
-        results: list[tuple] = []
-        for reader in self.readers:
-            posts = reader.positions_for(or_terms + [then])
-            if posts[then] is None:
+        reader = self.reader()
+        posts = reader.positions_for(or_terms + [then])
+        avail = [t for t in or_terms if posts[t] is not None]
+        if posts[then] is None or not avail:
+            return []
+        union = np.unique(np.concatenate([posts[t][0] for t in avail]))
+        docs = reader.drop_deleted(np.intersect1d(union, posts[then][0]))
+        starts = [_doc_runs(posts[t], docs) for t in avail]
+        keep, widths = [], []
+        for i, (d, pl) in enumerate(zip(docs, _doc_runs(posts[then], docs))):
+            start = np.sort(np.concatenate([s[i] for s in starts]))
+            start, end, ok = _ordered_chains(start, [pl])
+            if not ok.any():
                 continue
-            avail = [t for t in or_terms if posts[t] is not None]
-            if not avail:
-                continue
-            union_docs = posts[avail[0]][0]
-            for t in avail[1:]:
-                union_docs = np.union1d(union_docs, posts[t][0])
-            common = np.intersect1d(union_docs, posts[then][0])
-            common = reader.drop_deleted(common)
-            if len(common) == 0:
-                continue
-            runs = {}
-            for t in avail + [then]:
-                docs, tfs, pos = posts[t][:3]
-                starts = np.concatenate([[0], np.cumsum(tfs)[:-1]])
-                runs[t] = (np.asarray(docs, np.int64), starts,
-                           np.asarray(tfs, np.int64),
-                           np.asarray(pos, np.int64))
-            match_docs, match_width = [], []
-            for d in common:
-                segs = []
-                for t in avail:
-                    docs, starts, tfs, pos = runs[t]
-                    at = int(np.searchsorted(docs, d))
-                    if at < len(docs) and docs[at] == d:
-                        segs.append(pos[starts[at]: starts[at] + tfs[at]])
-                start = np.sort(np.concatenate(segs))
-                docs, starts, tfs, pos = runs[then]
-                at = int(np.searchsorted(docs, d))
-                pl = pos[starts[at]: starts[at] + tfs[at]]
-                nxt = np.searchsorted(pl, start, side="right")
-                ok = nxt < len(pl)
-                if not ok.any():
-                    continue
-                end = pl[np.minimum(nxt, len(pl) - 1)]
-                width = int((end[ok] - start[ok]).min()) + 1
-                if width - 2 <= slop:
-                    match_docs.append(int(d))
-                    match_width.append(width)
-            if match_docs:
-                ids = reader.fetch_ids(
-                    np.asarray(match_docs, dtype=np.int64), self.id_cols
-                )
-                results.extend(
-                    (*ids[d], w) for d, w in zip(match_docs, match_width)
-                )
-        results.sort(key=lambda r: r[:-1])
-        return results
+            width = int((end[ok] - start[ok]).min()) + 1
+            if width - 2 <= slop:
+                keep.append(d)
+                widths.append(width)
+        return _rows_by_id(reader, self.id_cols, keep, widths)
 
     def search_table(self, queries: pa.Table, algo: str | None = None) -> pa.Table:
         """Run a QUERY_SCHEMA table, return a TOPK_SCHEMA-shaped table whose
@@ -2755,11 +2426,12 @@ class DisMaxSearcher:
     search/DisMaxQParser.java` qf/tie params).
 
     Each field is its own index (Lucene keeps per-field postings, norms
-    and stats separately — FieldInfos/per-field terms dictionaries); the
-    indexes are doc-aligned by construction when built with the same
-    id_cols/num_segments over the same rows (docID assignment depends on
-    nothing else), which __init__ verifies per segment.  Per-field idf,
-    dl, avgdl — exactly Lucene's per-field stats."""
+    and stats separately — FieldInfos/per-field terms dictionaries),
+    scored through its one reader.  A reader's docIDs are the id_cols
+    rank, so field indexes built over the same rows are doc-aligned at any
+    segment counts; __init__ verifies that every field's id columns are
+    equal in docID order.  Per-field idf, dl, avgdl — exactly Lucene's
+    per-field stats."""
 
     def __init__(
         self,
@@ -2788,21 +2460,19 @@ class DisMaxSearcher:
         first = self.searchers[self.fields[0]]
         self.id_cols = first.id_cols
         self.analyzer_name = first.analyzer_name
+
+        def ids(s):
+            return s.reader()._id_table(s.id_cols).select(s.id_cols)
+
+        want = ids(first)
         for f in self.fields[1:]:
             s = self.searchers[f]
-            if s.id_cols != first.id_cols or len(s.readers) != len(
-                first.readers
-            ):
+            if s.id_cols != first.id_cols or not ids(s).equals(want):
                 raise ValueError(
                     f"field index {f!r} is not aligned with "
-                    f"{self.fields[0]!r} (id_cols/num_segments differ)"
+                    f"{self.fields[0]!r}: its id columns differ in docID "
+                    "order — indexes must be built over the same rows"
                 )
-            for a, b in zip(first.readers, s.readers):
-                if a.max_doc != b.max_doc:
-                    raise ValueError(
-                        f"field index {f!r} segment {a.sdir} doc count "
-                        "differs — indexes must be built over the same rows"
-                    )
 
     def search(self, text: str, k: int = 10) -> list[tuple]:
         """[(rank, *id_cols, score)] — OR across terms (dismax mm=0)."""
@@ -2833,55 +2503,38 @@ class DisMaxSearcher:
         order = [t for t in order if any(t in idf[f] for f in self.fields)]
         if not order:
             return []
-        first = self.searchers[self.fields[0]]
-        cands = []
-        for seg_i in range(len(first.readers)):
-            max_doc = first.readers[seg_i].max_doc
-            acc = np.zeros(max_doc, dtype=np.float64)
-            dense = np.zeros(max_doc, dtype=np.float64)  # reused per (t,f)
-            for t in order:
-                m = np.zeros(max_doc, dtype=np.float64)
-                ssum = np.zeros(max_doc, dtype=np.float64)
-                present = False
-                for f in self.fields:
-                    w = idf[f].get(t)
-                    if w is None:
-                        continue
-                    s = self.searchers[f]
-                    reader = s.readers[seg_i]
-                    row = reader.postings_for([t]).get(t)
-                    if row is None:
-                        continue
-                    present = True
-                    d, tf_arr, nrm = reader.decoded(t, row)
-                    sc = s.sim.score(
-                        w * mult[t], tf_arr.astype(np.float64), s.cache[nrm]
-                    )
-                    dense[:] = 0.0
-                    dense[d] = sc
-                    np.maximum(m, dense, out=m)
-                    ssum += dense
-                if present:
-                    acc += m + self.tie * (ssum - m)
-            # deletes may have been applied to ANY of the doc-aligned
-            # field indexes — a doc deleted in one field is deleted, so
-            # filter through every field's live-docs, not just the first's
-            cand = np.nonzero(acc)[0]
+        readers = {f: self.searchers[f].reader() for f in self.fields}
+        max_doc = readers[self.fields[0]].max_doc
+        acc = np.zeros(max_doc, dtype=np.float64)
+        dense = np.zeros(max_doc, dtype=np.float64)  # reused per (t,f)
+        for t in order:
+            m = np.zeros(max_doc, dtype=np.float64)
+            ssum = np.zeros(max_doc, dtype=np.float64)
             for f in self.fields:
-                cand = self.searchers[f].readers[seg_i].drop_deleted(cand)
-            if len(cand) == 0:
-                continue
-            scores = acc[cand]
-            cand, scores = _topk_preselect(cand, scores, k)
-            sel = np.lexsort((cand, -scores))[:k]
-            cand, scores = cand[sel], scores[sel]
-            ids = first.readers[seg_i].fetch_ids(cand, self.id_cols)
-            for d, sc in zip(cand, scores):
-                cands.append((float(sc), ids[int(d)]))
-        cands.sort(key=lambda x: (-x[0],) + tuple(x[1]))
-        return [
-            (rank, *idt, score) for rank, (score, idt) in enumerate(cands[:k])
-        ]
+                w = idf[f].get(t)
+                if w is None:
+                    continue
+                s = self.searchers[f]
+                d, tf_arr, nrm = readers[f].decoded(
+                    t, readers[f].postings_for([t])[t]
+                )
+                sc = s.sim.score(
+                    w * mult[t], tf_arr.astype(np.float64), s.cache[nrm]
+                )
+                dense[:] = 0.0
+                dense[d] = sc
+                np.maximum(m, dense, out=m)
+                ssum += dense
+            acc += m + self.tie * (ssum - m)
+        # deletes may have been applied to ANY of the doc-aligned field
+        # indexes — a doc deleted in one field is deleted, so filter
+        # through every field's live-docs, not just the first's
+        cand = np.nonzero(acc)[0]
+        for r in readers.values():
+            cand = r.drop_deleted(cand)
+        return _collect(
+            readers[self.fields[0]], self.id_cols, cand, acc[cand], k
+        )
 
 
 class QuerySearcher:

@@ -34,10 +34,26 @@ def test_deleted_update_does_not_resurrect_stale_version(ray_session, tmp_path):
     s = IndexSearcher(idx)
     assert s.search("stalecontent", k=5) == []
     assert _ids(s.search("updatedcontent", k=5)) == [("c0", 0)]
+    assert not s.explain("stalecontent", ("c0", 0))["matched"]
 
     delete_by_terms(idx, "updatedcontent")
     assert IndexSearcher(idx).search("stalecontent", k=5) == []
     assert num_docs(idx)[0] == 0
+    assert not IndexSearcher(idx).explain("updatedcontent", ("c0", 0))["matched"]
+
+    # explain agrees with search: it scores the live version, not the
+    # superseded one, and a deleted doc matches nothing
+    ex_idx = str(tmp_path / "explain")
+    build_index(_turns([("c0", 0, "shared alpha alpha alpha"),
+                        ("c1", 0, "shared beta")]), ex_idx, num_segments=1)
+    append_index(_turns([("c0", 0, "shared gamma")]), ex_idx)
+    s = IndexSearcher(ex_idx)
+    score = {h[1]: h[3] for h in s.search("shared", k=5)}
+    assert s.explain("shared", ("c0", 0))["total"] == score["c0"]
+    assert s.search("alpha", k=5) == []
+    assert not s.explain("alpha", ("c0", 0))["matched"]
+    delete_by_terms(ex_idx, "beta")
+    assert not IndexSearcher(ex_idx).explain("beta", ("c1", 0))["matched"]
 
     m = run_merges(idx, force=True)
     assert m["totals"]["n_segments"] == 1

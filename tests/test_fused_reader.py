@@ -1,12 +1,14 @@
-"""Segment-count invariance of the scoring entry points.
+"""Segment-count invariance of every IndexSearcher entry point.
 
 One seeded corpus is indexed at num_segments 1, 3 and 5, each also with
 `delete_by_terms` applied, plus a 3-segment build followed by an append
 that leaves two generations live.  A multi-segment searcher scores through
 the fused reader (one doc space whose docIDs are the global id_cols rank,
-the docIDs a 1-segment build assigns), so every query must return exactly
-what the 1-segment index returns — ranks, ids and bit-identical scores —
-and WAND must equal the exhaustive kernel on the fused view.
+the docIDs a 1-segment build assigns), so every entry point — scored
+queries, phrases, explain, block join, proximity and the span family —
+must return exactly what the 1-segment index returns (ranks, ids,
+bit-identical scores, types), and WAND must equal the exhaustive kernel on
+the fused view.
 """
 
 import shutil
@@ -120,6 +122,29 @@ def _battery(idx, phrases):
         ("or", [("phrase", tuple(phrases[0].split())), ("term", "w0007")]),
         k=15,
     ))
+    # explain: the top hits plus fixed ids (some deleted in the delete
+    # indexes, one absent), and block join in every score mode
+    for qtype, text, _k in queries[:20]:
+        mode = "and" if qtype == "and" else "or"
+        ids = [tuple(h[1:-1]) for h in s.search(text, k=3, mode=mode)]
+        for id_values in ids + [("c000001", 0), ("c000100", 1), ("zz", 0)]:
+            out.append(s.explain(text, id_values, mode=mode))
+        for score_mode in ("max", "total", "avg", "none"):
+            out.append(s.search_block_join(
+                text, parent_col="conv_id", k=15, mode=mode,
+                score_mode=score_mode,
+            ))
+    for p in phrases:
+        a, b = p.split()[:2]
+        out.append(s.search_proximity(p, 5))
+        out.append(s.search_span_near(p, 3))
+        if len(set(p.split())) == len(p.split()):
+            out.append(s.search_span_near(p, 3, in_order=False))
+        out.append(s.search_span_not(p, "w0001", 3))
+        out.append(s.search_span_first(a, 5))
+        out.append(s.search_span_within("the", a, b, 6))
+        out.append(s.search_span_containing(a, b, "the", 6))
+        out.append(s.search_span_or_near(f"w0001 w0002 {a}", b, 3))
     return s, queries, out
 
 
@@ -135,10 +160,10 @@ def test_segment_count_invariance(indexes, corpus):
             continue
         s, queries, got = _battery(idx, phrases)
         assert len(s.readers) > 1
-        assert isinstance(s.scoring_readers()[0], _FusedReader)
+        assert isinstance(s.reader(), _FusedReader)
         assert len(got) == len(ref[key[1]])
         for i, (g, r) in enumerate(zip(got, ref[key[1]])):
-            assert g == r, (key, i)
+            assert g == r and repr(g) == repr(r), (key, i)  # types too
         for qtype, text, k in queries:
             q = parse_query(text, qtype, k)
             assert s.search_query(q, algo="wand") == s.search_query(

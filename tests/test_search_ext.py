@@ -296,13 +296,31 @@ def test_blended_term_df_blend(ray_session, tmp_path):
         }
     )
     dirs = {}
-    for name, t in (("body", body), ("title", title)):
+    for name, t, n_seg in (
+        ("body", body, 2), ("title", title, 2),
+        # the same rows at another segment count, and other rows
+        ("title1", title, 1), ("short", title.slice(0, 3), 2),
+    ):
         idx = str(tmp_path / f"blend-{name}")
         build_index(
-            rd.from_arrow(t), idx, num_segments=2, mode="local",
+            rd.from_arrow(t), idx, num_segments=n_seg, mode="local",
             id_cols=("doc_id",), text_col="text", keep_cols=(),
         )
         dirs[name] = idx
+
+    # field indexes over the same rows align at any segment counts;
+    # indexes over different rows do not
+    for blend in (False, True):
+        pair = {"body": dirs["body"], "title": dirs["title"]}
+        mixed = {"body": dirs["body"], "title": dirs["title1"]}
+        assert DisMaxSearcher(mixed, tie=0.3, blend_df=blend).search(
+            "apple banana cherry", k=4
+        ) == DisMaxSearcher(pair, tie=0.3, blend_df=blend).search(
+            "apple banana cherry", k=4
+        )
+    with pytest.raises(ValueError, match="not aligned"):
+        DisMaxSearcher({"body": dirs["body"], "title": dirs["short"]})
+    dirs = {"body": dirs["body"], "title": dirs["title"]}
 
     # (1) same index on both slots: blend must change nothing
     same = {"a": dirs["body"], "b": dirs["body"]}
