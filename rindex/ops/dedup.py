@@ -5,16 +5,23 @@ TextProfileSignature fuzzy-dup, SURVEY.md §2.7).
 
 Scale shapes:
   * exact        — content-hash column -> groupby(hash) -> first per group.
-  * ngram-jaccard— shingle explode -> groupby(shingle) bucket -> candidate
-                   pairs -> exact-verify.  Full recall for tau > 0 (any
-                   overlapping pair shares >= 1 shingle), so the DuckDB
-                   brute-force oracle matches exactly.  At 10^12 scale the
-                   shingle buckets are hot-key-capped and MinHash takes over.
-  * minhash-lsh  — 128 perms x (16 bands x 8 rows) -> band-bucket groupby ->
-                   candidates -> exact-verify (deterministic given the seeded
-                   permutations, so the SQL oracle re-derives the whole
-                   pipeline from inlined literals; recall additionally
-                   asserted vs the exact op in pytest).
+  * shingle pass — ONE map per op (`_shingle_pass`) turns each doc into
+                   its sorted distinct shingle list; both near-dup ops below
+                   (and the conversation-level op in transcripts.py) start
+                   from it, and a doc's size is its list length.
+  * ngram-jaccard— shingle lists exploded by a map -> groupby(shingle)
+                   bucket -> pair counts -> exact-verify.  Full recall for
+                   tau > 0 (any overlapping pair shares >= 1 shingle), so
+                   the DuckDB brute-force oracle matches exactly.  At 10^12
+                   scale the shingle buckets are hot-key-capped and MinHash
+                   takes over.
+  * minhash-lsh  — 128 perms x (16 bands x 8 rows) band keys from the same
+                   pass -> band-bucket groupby (the op's ONE shuffle) ->
+                   candidates -> exact-verify by sorted-list intersection of
+                   each candidate pair's two shingle lists (deterministic
+                   given the seeded permutations, so the SQL oracle
+                   re-derives the whole pipeline from inlined literals;
+                   recall additionally asserted vs the exact op in pytest).
   * simhash      — 64-bit simhash, 4x16-bit band blocking (EXACT for
                    hamming <= 3 by pigeonhole) -> verify hamming.
   * embedding    — cosine over normalized vectors, blocked matmul.
@@ -29,6 +36,7 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from rindex.schema import pool_cap
 from rindex.ops.util import read_table
@@ -134,20 +142,48 @@ ORACLE["dedup_exact_documents"] = (
 
 # ---------------------------------------------------------------------------
 
-def _shingle_table(sf_dir: str):
-    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
+def _shingle_pass(ds, id_col: str = "doc_id", bands: bool = False):
+    """The near-dup family's ONE shingle pass: (id, text) batches ->
+    materialized Dataset[(doc_id, sh: list<int64>)], each doc's sorted
+    distinct shingle hashes (`_shingles` once per doc).  Docs without a
+    shingle are dropped, so a list's length IS the doc's shingle-set size.
+    With `bands`, each doc also carries `bh: list<int64>`, its N_BANDS
+    MinHash LSH band keys (`_band_keys`)."""
+    a, b = _minhash_params()
 
     def f(t: pa.Table) -> pa.Table:
-        ids, sh = [], []
-        for did, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
+        ids, lists = [], []
+        for did, text in zip(t[id_col].to_pylist(), t["text"].to_pylist()):
             s = _shingles(text)
-            ids.extend([did] * len(s))
-            sh.extend(s.tolist())
-        return pa.table(
-            {"doc_id": pa.array(ids, pa.int64()), "shingle": pa.array(sh, pa.int64())}
-        )
+            if len(s):
+                ids.append(did)
+                lists.append(s)
+        offsets = np.cumsum([0] + [len(s) for s in lists], dtype=np.int32)
+        values = np.concatenate(lists) if lists else np.zeros(0, np.int64)
+        cols = {"doc_id": pa.array(ids, pa.int64()),
+                "sh": pa.ListArray.from_arrays(offsets, values)}
+        if bands:
+            cols["bh"] = pa.ListArray.from_arrays(
+                np.arange(len(ids) + 1, dtype=np.int32) * N_BANDS,
+                _band_keys(values, offsets, a, b),
+            )
+        return pa.table(cols)
 
-    return ds.map_batches(f, batch_format="pyarrow")
+    return ds.map_batches(f, batch_format="pyarrow").materialize()
+
+
+def _explode(docs, col: str):
+    """Dataset[(doc_id, col: list)] -> Dataset[(doc_id, col)], one row per
+    list element: a map, not a shuffle."""
+
+    def f(t: pa.Table) -> pa.Table:
+        lists = t[col]
+        return pa.table({
+            "doc_id": pc.take(t["doc_id"], pc.list_parent_indices(lists)),
+            col: pc.list_flatten(lists),
+        })
+
+    return docs.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
 
 
 _DROP_SENTINEL = -1  # pk value carrying dropped-pair counts (real pk >= 0)
@@ -180,7 +216,6 @@ def _run_pair_counts(
     k: np.ndarray,
     d: np.ndarray,
     max_bucket: int | None = None,
-    cand: tuple[np.ndarray, np.ndarray] | None = None,
     values: np.ndarray | None = None,
 ):
     """Pure per-task kernel: expand exact-key runs of a (key, doc_id)-sorted
@@ -191,13 +226,10 @@ def _run_pair_counts(
     task.  Ids are validated packable here — the ONE chokepoint every
     pair-producing op (jaccard, minhash, simhash, shortest-path edges)
     goes through, so an id >= 2^31 cannot silently wrap the shift or
-    collide with the _DROP_SENTINEL.  With `cand=(sorted_doc_ids, sorted_pks)` each run is first
-    restricted to candidate docs and emitted pairs filtered to the
-    candidate pk set (the verify path: bounded by the candidate set, so no
-    cap needed).  With `max_bucket`, runs longer than it are DROPPED and
-    their would-be pair count returned (the hot-bucket cap — a stopword
-    shingle of df=D would otherwise expand D(D-1)/2 pairs).  With
-    `values`, per-doc int64 payloads ride along as (va, vb)."""
+    collide with the _DROP_SENTINEL.  With `max_bucket`, runs longer than
+    it are DROPPED and their would-be pair count returned (the hot-bucket
+    cap — a stopword shingle of df=D would otherwise expand D(D-1)/2
+    pairs).  With `values`, per-doc int64 payloads ride along as (va, vb)."""
     if len(d) and (int(d.max()) >= 1 << 31 or int(d.min()) < 0):
         raise ValueError(
             "pair-key packing requires 0 <= id < 2^31; re-key the corpus"
@@ -206,14 +238,10 @@ def _run_pair_counts(
     bounds = np.append(starts, len(k))
     out_pk, out_va, out_vb = [], [], []
     dropped = 0
-    cand_ids = cand[0] if cand is not None else None
     for s, e in zip(bounds[:-1], bounds[1:]):
         if e - s < 2:
             continue
         ids, idx = np.unique(d[s:e], return_index=True)
-        if cand_ids is not None:
-            m = np.isin(ids, cand_ids, assume_unique=True)
-            ids, idx = ids[m], idx[m]
         if len(ids) < 2:
             continue
         if max_bucket is not None and len(ids) > max_bucket:
@@ -234,15 +262,6 @@ def _run_pair_counts(
         vb = np.concatenate(out_vb)
     else:
         va = vb = None
-    if cand is not None:
-        if len(cand[1]) == 0:
-            z = np.zeros(0, np.int64)
-            return z, z, z, z, dropped
-        pos = np.searchsorted(cand[1], pk)
-        m = (pos < len(cand[1])) & (cand[1][np.minimum(pos, len(cand[1]) - 1)] == pk)
-        pk = pk[m]
-        if values is not None:
-            va, vb = va[m], vb[m]
     if values is not None:
         # payload path: no pre-count (payloads are pair-constant; dedupe
         # happens downstream), n=1 per emitted row
@@ -256,14 +275,14 @@ def _pair_counts(
     key: str,
     n_coarse: int = 509,
     max_bucket: int | None = None,
-    cand_ref=None,
     dedupe: bool = True,
 ):
     """exact-key buckets -> Dataset[(pk, n)] = every intra-bucket doc pair
     (a < b, packed int64) with its multiplicity across ALL buckets — fully
-    distributed: pair expansion + pre-count per coarse-bucket task, then a
-    native vectorized groupby-sum over the pre-counted partials.  Nothing
-    corpus-sized ever lands on the driver.
+    distributed: pair expansion + pre-count per coarse-bucket task, then
+    the coarse-bucket sum over the pre-counted partials (`_sum_by_pk`;
+    skipped with `dedupe=False`).  Nothing corpus-sized ever lands on the
+    driver.
 
     The expansion shuffle key is a COARSE hash of the exact bucket key
     (key % prime), so one map_groups task handles ~1/509 of the buckets and
@@ -274,10 +293,7 @@ def _pair_counts(
 
     `max_bucket` drops hot buckets WITH AN ACCOUNTED COUNT: dropped-pair
     totals flow through as pk == _DROP_SENTINEL rows (never silent — the
-    caller logs them; SURVEY §7 'no silent caps').  `cand_ref` is a ray
-    ObjectRef of (sorted cand doc_ids, sorted cand pks) restricting the
-    expansion to candidate pairs (the exact-verify path)."""
-    import ray
+    caller logs them; SURVEY §7 'no silent caps')."""
 
     def add_coarse(t: pa.Table) -> pa.Table:
         k = t[key].to_numpy()
@@ -287,10 +303,9 @@ def _pair_counts(
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         df = g.sort_values([key, "doc_id"], kind="mergesort")
-        cand = ray.get(cand_ref) if cand_ref is not None else None
         pk, n, _va, _vb, dropped = _run_pair_counts(
             df[key].to_numpy(), df["doc_id"].to_numpy(),
-            max_bucket=max_bucket, cand=cand,
+            max_bucket=max_bucket,
         )
         if dropped:
             pk = np.append(pk, _DROP_SENTINEL)
@@ -347,11 +362,12 @@ def _sum_by_pk(pairs_ds, n_coarse: int = 509):
     )
 
 
-# Above this many distinct docs the per-doc shingle-size lookup switches
-# from a ray.put broadcast (8 B/doc — fine to ~10^8) to a hash join of the
-# pair table against the sizes Dataset on doc_a then doc_b (no driver /
-# per-task copy of the sizes at all).  Env-overridable so tests exercise
-# the join path at small scale.
+# Above this many int64s the per-doc lookup a verify needs (shingle-set
+# sizes per doc for the all-pairs ops, the candidate docs' shingle lists
+# for MinHash) switches from a broadcast to every verify task (8 B per
+# value — fine to ~10^8) to a hash join of the pair table against the
+# per-doc Dataset on doc_a then doc_b (no driver / per-task copy at all).
+# Env-overridable so tests exercise the join path at small scale.
 DEDUP_BCAST_MAX_DOCS = int(os.environ.get("RINDEX_DEDUP_BCAST_MAX",
                                           4_000_000))
 
@@ -366,14 +382,6 @@ def _arrow_mat(ds):
     import ray.data as rd
 
     return rd.from_arrow_refs(ds.materialize().to_arrow_refs())
-
-
-def _doc_sizes(st):
-    """(materialized sizes Dataset[(doc_id, count())], n_docs) from the
-    shingle table — stays in the object store; only the row COUNT reaches
-    the driver (it picks broadcast vs join below)."""
-    sizes = _arrow_mat(st.groupby("doc_id").count())
-    return sizes, sizes.count()
 
 
 _PAIR_SCHEMA = pa.schema(
@@ -404,118 +412,101 @@ def _unpack_pairs(t: pa.Table) -> pa.Table:
     )
 
 
-def _jaccard_from_counts(counts, st, tau: float, log_label: str):
-    """Dataset[(pk, sum(n))] -> verified near-dup pairs.  The multiplicity
-    IS the intersection size (shingles are distinct per doc), so jaccard =
-    n / (|A| + |B| - n).  Sizes come from a ray.put broadcast below
-    DEDUP_BCAST_MAX_DOCS distinct docs, else from TWO hash joins of the
-    (small-by-construction) pair table against the sizes Dataset — either
-    way the filter runs per batch, distributed; only rows passing tau
-    (plus the tiny drop-count sentinel) ever reach the driver."""
+def _with_doc_values(pairs, per_doc, col: str, join: bool):
+    """Add doc_a's and doc_b's `col` from per_doc Dataset[(doc_id, col)]
+    to every row of a pair Dataset, as `col_a` and `col_b`.  Broadcast
+    (`join` false): one task sorts per_doc by doc_id into the object store
+    (never the driver) and every pair task looks both sides up in it; an
+    id per_doc lacks (a drop-count sentinel row) gets some doc's value.
+    Join: two union+groupby hash joins (streams.hash_outer_join — Ray
+    2.49's native Dataset.join deadlocks its aggregator pool on small CPU
+    budgets and dies on one-side-empty partitions) on doc_a then doc_b."""
     import ray
 
-    sizes_ds, n_docs = _doc_sizes(st)
-    if n_docs <= DEDUP_BCAST_MAX_DOCS:
-        sizes = sizes_ds.to_pandas()
-        order = np.argsort(sizes["doc_id"].to_numpy())  # groupby output
-        # order is an implementation detail — make searchsorted explicit
-        size_ids = sizes["doc_id"].to_numpy()[order]
-        size_vals = sizes["count()"].to_numpy().astype(np.int64)[order]
-        if len(size_ids) and int(size_ids.max()) >= 1 << 31:
-            raise ValueError(
-                "pair-key packing requires doc_id < 2^31; re-key the corpus"
-            )
-        sizes_ref = ray.put((size_ids, size_vals))
+    if not join:
+        @ray.remote
+        def by_id(*blocks: pa.Table):
+            docs = pa.concat_tables([x for x in blocks if len(x)])
+            order = np.argsort(docs["doc_id"].to_numpy())
+            return docs["doc_id"].to_numpy()[order], docs[col].take(order)
 
-        def finish(t: pa.Table) -> pa.Table:
-            size_ids_, size_vals_ = ray.get(sizes_ref)
-            tt = _unpack_pairs(t)
-            a = tt["doc_a"].to_numpy()
-            b = tt["doc_b"].to_numpy()
-            inter = tt["inter"].to_numpy()
-            drop_m = a == _DROP_SENTINEL
-            sa = size_vals_[
-                np.searchsorted(size_ids_, np.where(drop_m, size_ids_[0], a))
-            ]
-            sb = size_vals_[
-                np.searchsorted(size_ids_, np.where(drop_m, size_ids_[0], b))
-            ]
-            jac = np.where(drop_m, 0.0, inter / (sa + sb - inter))
-            keep = (jac >= tau) | drop_m
-            return pa.table(
-                {
-                    "doc_a": pa.array(a[keep], pa.int64()),
-                    "doc_b": pa.array(b[keep], pa.int64()),
-                    "jaccard": pa.array(np.round(jac[keep], 6), pa.float64()),
-                }
-            )
+        table = by_id.remote(*per_doc.to_arrow_refs())
 
-        res = counts.map_batches(finish, batch_format="pyarrow").to_pandas()
-        return _split_drop_rows(res, log_label)
+        def lookup(t: pa.Table) -> pa.Table:
+            ids, vals = ray.get(table)
+            for s in "ab":
+                i = np.searchsorted(ids, t[f"doc_{s}"].to_numpy())
+                t = t.append_column(
+                    f"{col}_{s}", vals.take(np.minimum(i, len(ids) - 1))
+                )
+            return t
 
-    # join path: sizes never leave the object store.  The pair-key packing
-    # contract (doc_id < 2^31, enforced driver-side on the broadcast path)
-    # still applies — check it with a distributed max, not a materialize.
-    # Joins are the union+groupby hash join (streams.hash_outer_join):
-    # Ray 2.49's native Dataset.join deadlocks its aggregator actor pool
-    # on small CPU budgets and dies on one-side-empty hash partitions
-    # (see hash_outer_join's docstring), and the pair table is sparse in
-    # doc-id space by construction.
+        return pairs.map_batches(lookup, batch_format="pyarrow",
+                                 batch_size=None)
     from rindex.ops.streams import hash_outer_join
 
-    if n_docs and int(sizes_ds.max("doc_id")) >= 1 << 31:
-        raise ValueError(
-            "pair-key packing requires doc_id < 2^31; re-key the corpus"
+    def side(s: str):
+        return per_doc.map_batches(
+            lambda t: pa.table({f"k{s}": t["doc_id"], f"{col}_{s}": t[col]}),
+            batch_format="pyarrow",
         )
-    # Sentinel rows would die in the inner join, so their count is folded
-    # out first (a tiny distributed sum).
-    pairs = _arrow_mat(counts.map_batches(
-        _unpack_pairs, batch_format="pyarrow", zero_copy_batch=True
-    ))
-    _dd = pairs.filter(expr=f"doc_a == {_DROP_SENTINEL}").to_pandas()
-    dropped = int(_dd["doc_b"].sum()) if len(_dd) else 0
-    if dropped:
-        _log_drops(log_label, dropped)
-    clean = pairs.filter(expr=f"doc_a != {_DROP_SENTINEL}")
-    sa = sizes_ds.map_batches(
-        lambda t: t.rename_columns(["ka", "size_a"]),
-        batch_format="pyarrow",
-    )
-    sb = sizes_ds.map_batches(
-        lambda t: t.rename_columns(["kb", "size_b"]),
-        batch_format="pyarrow",
-    )
+
     # the intermediate is materialized: hash_outer_join reads its input's
     # schema, and schema() on a lazy all-to-all would re-run the inner
     # join; the pair table is the small side, so this is cheap
-    joined = hash_outer_join(
+    return hash_outer_join(
         hash_outer_join(
-            clean, sa, on="doc_a", right_on="ka", how="inner"
+            pairs, side("a"), on="doc_a", right_on="ka", how="inner"
         ).materialize(),
-        sb, on="doc_b", right_on="kb", how="inner",
+        side("b"), on="doc_b", right_on="kb", how="inner",
     )
 
-    def finish_joined(df: pd.DataFrame) -> pd.DataFrame:
-        inter = df["inter"].to_numpy()
-        jac = inter / (
-            df["size_a"].to_numpy() + df["size_b"].to_numpy() - inter
+
+def _jaccard_from_counts(counts, docs, tau: float, log_label: str):
+    """Dataset[(pk, sum(n))] -> verified near-dup pairs.  The multiplicity
+    IS the intersection size (shingles are distinct per doc), so jaccard =
+    n / (|A| + |B| - n).  Sizes are the list lengths of the shingle pass
+    `docs` (`_shingle_pass`), broadcast below DEDUP_BCAST_MAX_DOCS docs,
+    else joined (`_with_doc_values`) — either way the filter runs per
+    batch, distributed; only rows passing tau (plus the tiny drop-count
+    sentinel) ever reach the driver."""
+    sizes = docs.map_batches(
+        lambda t: pa.table({
+            "doc_id": t["doc_id"],
+            "n": pc.list_value_length(t["sh"]).cast(pa.int64()),
+        }),
+        batch_format="pyarrow",
+    ).materialize()
+    pairs = counts.map_batches(
+        _unpack_pairs, batch_format="pyarrow", zero_copy_batch=True
+    )
+    join = docs.count() > DEDUP_BCAST_MAX_DOCS
+    if join:
+        # sentinel rows would die in the inner joins, so their count is
+        # folded out first (a tiny distributed filter)
+        pairs = _arrow_mat(pairs)
+        _dd = pairs.filter(expr=f"doc_a == {_DROP_SENTINEL}").to_pandas()
+        dropped = int(_dd["doc_b"].sum()) if len(_dd) else 0
+        if dropped:
+            _log_drops(log_label, dropped)
+        pairs = pairs.filter(expr=f"doc_a != {_DROP_SENTINEL}")
+
+    def finish(t: pa.Table) -> pa.Table:
+        a, b, inter, na, nb = (
+            t[c].to_numpy() for c in ("doc_a", "doc_b", "inter", "n_a", "n_b")
         )
-        keep = jac >= tau
-        return pd.DataFrame(
-            {
-                "doc_a": df["doc_a"].to_numpy()[keep],
-                "doc_b": df["doc_b"].to_numpy()[keep],
-                "jaccard": np.round(jac[keep], 6),
-            }
-        )
+        drop_m = a == _DROP_SENTINEL
+        jac = np.where(drop_m, 0.0, inter / (na + nb - inter))
+        keep = (jac >= tau) | drop_m
+        return pa.table({
+            "doc_a": pa.array(a[keep], pa.int64()),
+            "doc_b": pa.array(b[keep], pa.int64()),
+            "jaccard": pa.array(np.round(jac[keep], 6), pa.float64()),
+        })
 
-    res = joined.map_batches(finish_joined, batch_format="pandas").to_pandas()
-    return res.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-
-
-def _split_drop_rows(res: pd.DataFrame, log_label: str) -> pd.DataFrame:
-    """Split doc_a == _DROP_SENTINEL marker rows off a pair result, log
-    their summed drop count driver-side, return the clean sorted pairs."""
+    res = _with_doc_values(pairs, sizes, "n", join).map_batches(
+        finish, batch_format="pyarrow"
+    ).to_pandas()
     drop_m = res["doc_a"].to_numpy() == _DROP_SENTINEL
     if drop_m.any():
         _log_drops(log_label, int(res["doc_b"].to_numpy()[drop_m].sum()))
@@ -527,16 +518,17 @@ def q_ngram_jaccard_neardup(sf_dir: str):
     """Near-dup pairs with 3-gram Jaccard >= 0.5, fully distributed via the
     co-occurrence formulation: shingles are DISTINCT per doc, so a pair's
     intersection size equals how many shingle buckets emit it — pair
-    multiplicity from pre-counted per-coarse-bucket partials, summed with a
-    native distributed groupby, jaccard computed per batch against the
-    broadcast per-doc sizes.  No per-pair set intersection anywhere and no
-    corpus-sized driver materialization.  Exact: full recall (any
-    qualifying pair shares a shingle) and exact Jaccard — same SQL oracle.
-    Runs UNCAPPED by design (this is the exact-oracle variant; the capped
-    candidate generation lives in the LSH ops)."""
-    st = _shingle_table(sf_dir).materialize()  # feeds sizes AND pairs
-    counts = _pair_counts(st, "shingle")
-    return _jaccard_from_counts(counts, st, JACCARD_TAU, "ngram")
+    multiplicity from pre-counted per-coarse-bucket partials, summed by the
+    coarse-bucket reduce (`_sum_by_pk`), jaccard computed per batch against
+    the per-doc sizes (the shingle lists' lengths).  Two shuffles; no
+    per-pair set intersection anywhere and no corpus-sized driver
+    materialization.  Exact: full recall (any qualifying pair shares a
+    shingle) and exact Jaccard — same SQL oracle.  Runs UNCAPPED by design
+    (this is the exact-oracle variant; the capped candidate generation
+    lives in the LSH ops)."""
+    docs = _shingle_pass(read_table(sf_dir, "documents", ["doc_id", "text"]))
+    counts = _pair_counts(_explode(docs, "sh"), "sh")
+    return _jaccard_from_counts(counts, docs, JACCARD_TAU, "ngram")
 
 
 QUERIES["ngram_jaccard_neardup"] = q_ngram_jaccard_neardup
@@ -575,116 +567,128 @@ def _minhash_params():
     return a, b
 
 
-def _minhash(shingles: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min over shingles of (a*x+b) mod p per permutation — universal-hash
-    family over the Mersenne-31 prime; int64-safe (a,x < 2^31 -> a*x < 2^62)
-    and fully vectorized."""
-    x = (shingles % _MERSENNE31)[:, None]
-    h = (a[None, :] * x + b[None, :]) % _MERSENNE31
-    return np.min(h, axis=0).astype(np.int64)
+def _band_keys(values: np.ndarray, offsets: np.ndarray, a: np.ndarray,
+               b: np.ndarray) -> np.ndarray:
+    """N_BANDS LSH band keys per doc, doc-major, for the docs whose shingle
+    hashes are values[offsets[i]:offsets[i + 1]].  Minhash = min over the
+    shingles of (a*x+b) mod p per permutation (Mersenne-31 prime; a, x <
+    2^31 keeps a*x int64-safe), as ONE (shingles, 128) hash matrix per
+    chunk plus a per-doc reduceat; each band's 8 minhashes pack into one
+    int64 key with the band index baked in — the whole bucket identity."""
+    n_docs = len(offsets) - 1
+    # chunk at doc boundaries so the (chunk_shingles, 128) hash matrix
+    # stays ~50 MB whatever the block size — one unbounded matrix over
+    # a whole 5k-doc block measured 2.5x SLOWER than a per-doc loop
+    # (allocator-bound), chunked it is ~2x faster
+    mh_parts, lo = [], 0
+    while lo < n_docs:
+        hi = min(n_docs, max(
+            lo + 1, int(np.searchsorted(offsets, offsets[lo] + 50_000))
+        ))
+        x = (values[offsets[lo]:offsets[hi]] % _MERSENNE31)[:, None]
+        h = (a[None, :] * x + b[None, :]) % _MERSENNE31
+        mh_parts.append(np.minimum.reduceat(
+            h, offsets[lo:hi] - offsets[lo], axis=0
+        ).astype(np.int64))
+        lo = hi
+    mh = np.concatenate(mh_parts or [np.zeros((0, N_PERM), np.int64)])
+    mh = mh.reshape(n_docs, N_BANDS, N_PERM // N_BANDS)
+    return np.fromiter(
+        (_stable_hash64(bytes([bi]) + mh[di, bi].tobytes())
+         for di in range(n_docs) for bi in range(N_BANDS)),
+        np.int64, n_docs * N_BANDS,
+    )
+
+
+def _list_jaccard(t: pa.Table) -> pa.Table:
+    """The MinHash verify kernel: (doc_a, doc_b, sh_a, sh_b) pair rows ->
+    the pairs with exact Jaccard >= JACCARD_TAU of their two sorted
+    distinct shingle lists.  Every pair's two lists go through ONE lexsort
+    by (pair, shingle); a shingle both lists hold is an adjacent equal
+    entry, so the intersection sizes are one bincount — no Python loop per
+    pair."""
+    a, b = t["doc_a"].to_numpy(), t["doc_b"].to_numpy()
+    la, lb = t["sh_a"], t["sh_b"]
+    na, nb = (pc.list_value_length(x).to_numpy().astype(np.int64)
+              for x in (la, lb))
+    pos = np.arange(len(a))
+    pid = np.concatenate([np.repeat(pos, na), np.repeat(pos, nb)])
+    v = np.concatenate([pc.list_flatten(x).to_numpy() for x in (la, lb)])
+    order = np.lexsort((v, pid))
+    pid, v = pid[order], v[order]
+    hit = (pid[1:] == pid[:-1]) & (v[1:] == v[:-1])
+    inter = np.bincount(pid[1:][hit], minlength=len(a))
+    jac = inter / (na + nb - inter)
+    keep = jac >= JACCARD_TAU
+    return pa.table({
+        "doc_a": pa.array(a[keep], pa.int64()),
+        "doc_b": pa.array(b[keep], pa.int64()),
+        "jaccard": pa.array(np.round(jac[keep], 6), pa.float64()),
+    })
+
+
+_VERIFY_PAIRS = 1 << 14  # candidate pairs per verify task
 
 
 def q_minhash_lsh_neardup(sf_dir: str):
-    """MinHash+LSH near-dup: shingle -> 128 minhashes -> 16 band buckets ->
-    groupby(band, band_hash) -> candidate pairs -> exact Jaccard verify.
+    """MinHash+LSH near-dup, filter-then-verify over ONE shingle pass: the
+    pass emits each doc's sorted shingle list and its 16 band keys; the
+    band keys explode into the op's only shuffle, the band-bucket pair
+    expansion (hot buckets capped with a logged count), whose distinct
+    pairs are the candidates; each is verified by exact Jaccard from the
+    intersection of its two shingle lists (`_list_jaccard`), which come
+    from the candidate docs' slice of the pass (`_with_doc_values`:
+    broadcast up to DEDUP_BCAST_MAX_DOCS shingles, else joined).
     Probabilistic recall but fully deterministic given the seeded
     permutations (SQL oracle below re-derives every stage); precision is
     exact because candidates are re-verified.  pytest additionally asserts
     high recall vs the exact n-gram op on the planted near-dups."""
-    a, b = _minhash_params()
-    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
-
-    rows_per_band = N_PERM // N_BANDS
-
-    def sigs(t: pa.Table) -> pa.Table:
-        # ONE (total_shingles, 128) hash matrix + per-doc reduceat for the
-        # whole batch — bit-identical to per-doc _minhash (same formula,
-        # min is order-free), ~10x fewer numpy dispatches than a per-doc
-        # loop at 5k docs
-        per_doc, keep_ids, counts = [], [], []
-        for did, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
-            s = _shingles(text)
-            if len(s):
-                per_doc.append(s)
-                keep_ids.append(did)
-                counts.append(len(s))
-        if not per_doc:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "bh": pa.array([], pa.int64()),
-                }
-            )
-        # chunk at doc boundaries so the (chunk_shingles, 128) hash matrix
-        # stays ~50 MB whatever the block size — one unbounded matrix over
-        # a whole 5k-doc block measured 2.5x SLOWER than the per-doc loop
-        # (allocator-bound), chunked it is ~2x faster
-        counts = np.asarray(counts)
-        doc_offsets = np.concatenate([[0], np.cumsum(counts)])
-        chunks, lo = [], 0
-        while lo < len(counts):
-            hi = max(
-                lo + 1,
-                int(np.searchsorted(doc_offsets, doc_offsets[lo] + 50_000)),
-            )
-            chunks.append((lo, min(hi, len(counts))))
-            lo = min(hi, len(counts))
-        mh_parts = []
-        allsh = np.concatenate(per_doc)
-        for lo, hi in chunks:
-            x = (allsh[doc_offsets[lo]:doc_offsets[hi]] % _MERSENNE31)[:, None]
-            h = (a[None, :] * x + b[None, :]) % _MERSENNE31
-            starts = doc_offsets[lo:hi] - doc_offsets[lo]
-            mh_parts.append(
-                np.minimum.reduceat(h, starts, axis=0).astype(np.int64)
-            )
-        mh = np.concatenate(mh_parts).reshape(
-            len(keep_ids), N_BANDS, rows_per_band
-        )
-        ids, band_hashes = [], []
-        for di, did in enumerate(keep_ids):
-            for bi in range(N_BANDS):
-                ids.append(did)
-                # the band index is baked into the bucket key, so one
-                # int64 column is the whole LSH bucket identity
-                band_hashes.append(
-                    _stable_hash64(bytes([bi]) + mh[di, bi].tobytes())
-                )
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "bh": pa.array(band_hashes, pa.int64()),
-            }
-        )
-
     import ray
+    import ray.data as rd
 
-    bucketed = ds.map_batches(sigs, batch_format="pyarrow")
+    docs = _shingle_pass(
+        read_table(sf_dir, "documents", ["doc_id", "text"]), bands=True
+    )
     # candidate pks: per-task pre-counted partials, deduped HERE — the
     # deduped candidate set is the designated small side (LSH yields O(n)
     # candidates), so the cross-task distinct costs one np.unique instead
     # of a second all-to-all sort; hot band buckets capped with a logged
-    # drop count.  The set is collected and broadcast once for the verify.
-    cand_df = (
-        _pair_counts(bucketed, "bh", max_bucket=LSH_MAX_BUCKET, dedupe=False)
-        .to_pandas()
-    )
-    drop_m = cand_df["pk"].to_numpy() == _DROP_SENTINEL
+    # drop count.
+    cand_df = _pair_counts(
+        _explode(docs, "bh"), "bh", max_bucket=LSH_MAX_BUCKET, dedupe=False
+    ).to_pandas()
+    pk = cand_df.get("pk", pd.Series([], dtype="int64")).to_numpy()
+    drop_m = pk == _DROP_SENTINEL
     if drop_m.any():
         _log_drops("minhash_lsh", int(cand_df["n"].to_numpy()[drop_m].sum()))
-    cand_pk = np.unique(cand_df["pk"].to_numpy()[~drop_m])
-    cand_ids = np.unique(
-        np.concatenate([cand_pk >> 32, cand_pk & 0xFFFFFFFF])
-    ) if len(cand_pk) else np.zeros(0, np.int64)
-    cand_ref = ray.put((cand_ids, cand_pk))
+    cand_pk = np.unique(pk[~drop_m])
+    if not len(cand_pk):  # no candidate (or every bucket capped)
+        return pd.DataFrame({"doc_a": cand_pk, "doc_b": cand_pk,
+                             "jaccard": cand_pk.astype(np.float64)})
+    ids_ref = ray.put(np.unique(np.r_[cand_pk >> 32, cand_pk & 0xFFFFFFFF]))
 
-    # exact-Jaccard verify, distributed: re-run the co-occurrence count over
-    # the shingle table RESTRICTED to candidate docs/pairs (each bucket
-    # shrinks to its candidate members before expansion — bounded by the
-    # candidate set, not by shingle df), then the same batchwise jaccard.
-    st = _shingle_table(sf_dir).materialize()
-    counts = _pair_counts(st, "shingle", cand_ref=cand_ref)
-    return _jaccard_from_counts(counts, st, JACCARD_TAU, "minhash_lsh")
+    def keep_cands(t: pa.Table) -> pa.Table:
+        m = np.isin(t["doc_id"].to_numpy(), ray.get(ids_ref), assume_unique=True)
+        return t.select(["doc_id", "sh"]).filter(pa.array(m))
+
+    @ray.remote
+    def n_shingles_of(t: pa.Table) -> int:
+        return len(pc.list_flatten(t["sh"])) if len(t) else 0
+
+    # the candidate docs' slice of the pass stays in the object store; only
+    # its per-block shingle counts reach the driver
+    cand_docs = docs.map_batches(keep_cands, batch_format="pyarrow").materialize()
+    refs = cand_docs.to_arrow_refs()
+    n_shingles = sum(ray.get([n_shingles_of.remote(r) for r in refs]))
+    pairs = rd.from_arrow([
+        pa.table({"doc_a": c >> 32, "doc_b": c & 0xFFFFFFFF})
+        for c in np.array_split(cand_pk, -(-len(cand_pk) // _VERIFY_PAIRS))
+    ])
+
+    out = _with_doc_values(
+        pairs, cand_docs, "sh", n_shingles > DEDUP_BCAST_MAX_DOCS
+    ).map_batches(_list_jaccard, batch_format="pyarrow").to_pandas()
+    return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
 QUERIES["minhash_lsh_neardup"] = q_minhash_lsh_neardup
@@ -1287,9 +1291,7 @@ def q_substring_dedup_documents(sf_dir: str):
     )
 
     def only_dups(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return t.filter(pc.greater_equal(t["sum(c)"], 2)).select(["g"])
+            return t.filter(pc.greater_equal(t["sum(c)"], 2)).select(["g"])
 
     dup = np.sort(
         totals.map_batches(only_dups, batch_format="pyarrow")

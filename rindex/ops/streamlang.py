@@ -348,7 +348,7 @@ def _b_fetch(args, kwargs, ctx):
 
     lk, _, rk = _lit(kwargs["on"], "on").partition("=")
     lk, rk = lk.strip(), (rk.strip() or lk.strip())
-    right = _build(args[1], ctx)
+    right = _build(args[1], ctx).materialize()  # count + join: one run
     if right.count() > STREAM_BCAST_MAX_ROWS:
         from rindex.ops.streams import hash_outer_join
 

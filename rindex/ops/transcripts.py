@@ -2882,13 +2882,14 @@ def q_conv_near_dedup_documents(sf_dir: str):
 
     Shape: ONE conv-bucket shuffle assembles per-conversation text
     (~1/{nb} of conversations per reduce task, vectorized join); the
-    shingle explode, pair counting and Jaccard verify then reuse the
-    dedup module's fully-distributed co-occurrence machinery — pair
-    multiplicity IS the intersection size, per-conv sizes broadcast below
-    DEDUP_BCAST_MAX_DOCS and hash-joined above it.  Nothing corpus-sized
-    reaches the driver."""
+    dedup module's shingle pass (`_shingle_pass`) turns each conversation
+    into its sorted shingle list, and the exploded lists feed the same
+    fully-distributed co-occurrence count as the doc-level op — pair
+    multiplicity IS the intersection size, per-conv sizes are the list
+    lengths (broadcast below DEDUP_BCAST_MAX_DOCS, hash-joined above it).
+    Three shuffles; nothing corpus-sized reaches the driver."""
     from rindex.ops.dedup import (
-        _jaccard_from_counts, _pair_counts, _shingles,
+        _explode, _jaccard_from_counts, _pair_counts, _shingle_pass,
     )
 
     ds = _conv_view(sf_dir).map_batches(
@@ -2905,26 +2906,12 @@ def q_conv_near_dedup_documents(sf_dir: str):
              "text": joined.to_numpy()}
         )
 
-    def shingle(t: pa.Table) -> pa.Table:
-        ids, sh = [], []
-        for cid, text in zip(t["conv_id"].to_pylist(),
-                             t["text"].to_pylist()):
-            s = _shingles(text)
-            ids.extend([cid] * len(s))
-            sh.extend(s.tolist())
-        return pa.table(
-            {"doc_id": pa.array(ids, pa.int64()),
-             "shingle": pa.array(sh, pa.int64())}
-        )
-
-    st = (
-        ds.groupby("_gb")
-        .map_groups(assemble, batch_format="pandas")
-        .map_batches(shingle, batch_format="pyarrow")
-        .materialize()  # feeds sizes AND pairs, as the doc-level op does
+    docs = _shingle_pass(
+        ds.groupby("_gb").map_groups(assemble, batch_format="pandas"),
+        id_col="conv_id",
     )
-    counts = _pair_counts(st, "shingle")
-    res = _jaccard_from_counts(counts, st, CONV_JACCARD_TAU, "conv_ngram")
+    counts = _pair_counts(_explode(docs, "sh"), "sh")
+    res = _jaccard_from_counts(counts, docs, CONV_JACCARD_TAU, "conv_ngram")
     res = res.rename(columns={"doc_a": "conv_a", "doc_b": "conv_b"})
     return res.sort_values(["conv_a", "conv_b"]).reset_index(drop=True)
 

@@ -533,14 +533,25 @@ def _shared_postings_table(path: str, cols) -> "pa.Table | None":
 
 
 def read_postings_rows(sdir: str, terms: list[str]) -> dict[str, dict | None]:
-    """term -> the segment's posting row (None when absent), read with
-    row-group pruning on the sorted term column: only the row groups that
-    can hold `terms` are read."""
-    tbl = pq.read_table(
-        os.path.join(sdir, "postings.parquet"),
-        filters=[("term", "in", terms)],
-        columns=_SegmentReader._COLS,
-    )
+    """term -> the segment's posting row (None when absent).  Reads only
+    the row groups whose term min/max statistics can hold one of `terms`
+    (a group without statistics is read), then an `is_in` filter: a plain
+    ParquetFile read, as `pq.read_table(filters=)` spends ~1 ms a call
+    setting up an Arrow dataset."""
+    import bisect
+
+    pf = pq.ParquetFile(os.path.join(sdir, "postings.parquet"))
+    want = sorted(set(terms))
+    col = pf.metadata.schema.names.index("term")
+    groups = []
+    for g in range(pf.metadata.num_row_groups):
+        st = pf.metadata.row_group(g).column(col).statistics
+        known = st is not None and st.has_min_max
+        i = bisect.bisect_left(want, st.min) if known else -1
+        if i < 0 or (i < len(want) and want[i] <= st.max):
+            groups.append(g)
+    tbl = pf.read_row_groups(groups, columns=_SegmentReader._COLS)
+    tbl = tbl.filter(pc.is_in(tbl["term"], pa.array(want, tbl["term"].type)))
     found = {row["term"]: row for row in tbl.to_pylist()}
     return {t: found.get(t) for t in terms}
 

@@ -125,6 +125,10 @@ def test_no_corpus_sized_driver_materialization():
     assert "bucketed.to_pandas()" not in src
     # the old ngram driver-side pair-key concat
     assert "iter_batches" not in src
+    # the shingle-table pass and the doc-size groupby the one-pass shingle
+    # lists replaced
+    assert "_doc_sizes" not in src
+    assert "_shingle_table" not in src
 
 
 def test_join_path_equals_broadcast_path(ray_session, tmp_path, monkeypatch):
@@ -137,18 +141,34 @@ def test_join_path_equals_broadcast_path(ray_session, tmp_path, monkeypatch):
     import rindex.ops.dedup as dd
 
     sf = _write_planted_corpus(tmp_path)
+
+    def minhash(cap):
+        dd._LAST_DROPPED.clear()
+        with monkeypatch.context() as m:
+            m.setattr(dd, "LSH_MAX_BUCKET", cap)
+            return dd.q_minhash_lsh_neardup(sf), dict(dd._LAST_DROPPED)
+
     base_pairs = dd.q_ngram_jaccard_neardup(sf)
     base_clusters = dd.q_dedup_clusters_documents(sf)
+    base_mh = minhash(dd.LSH_MAX_BUCKET)
+    base_mh_capped = minhash(16)
     monkeypatch.setattr(dd, "DEDUP_BCAST_MAX_DOCS", 0)
     monkeypatch.setattr(dd, "CLUSTER_DRIVER_EDGE_MAX", 0)
     join_pairs = dd.q_ngram_jaccard_neardup(sf)
     join_clusters = dd.q_dedup_clusters_documents(sf)
+    join_mh = minhash(dd.LSH_MAX_BUCKET)
+    join_mh_capped = minhash(16)
     pd.testing.assert_frame_equal(base_pairs, join_pairs, check_exact=True)
     pd.testing.assert_frame_equal(
         base_clusters, join_clusters, check_exact=True
     )
+    for base, join in ((base_mh, join_mh), (base_mh_capped, join_mh_capped)):
+        pd.testing.assert_frame_equal(base[0], join[0], check_exact=True)
+        assert base[1] == join[1]
     # sanity: the planted megacluster + near-dup pair actually exercised it
     assert len(base_pairs) > 100 and len(base_clusters) > 100
+    assert len(base_mh[0]) == 4951 and not base_mh[1]
+    assert len(base_mh_capped[0]) == 1 and base_mh_capped[1]["minhash_lsh"] > 0
 
 
 def test_distributed_cluster_nonconvergence_is_loud(

@@ -259,3 +259,49 @@ def test_deletes_run_without_ray(ray_session, del_corpus, tmp_path):
         )
     live, max_doc = num_docs(fidx)
     assert live == max_doc - sum(map(len, wantf.values()))
+
+
+@pytest.mark.parametrize("stats", [True, False])
+def test_read_postings_rows_equals_dataset_filter_read(tmp_path, stats):
+    """The row-group-pruned ParquetFile read returns the rows the Arrow
+    dataset `filters=` read returns: present, absent, first, last and
+    cross-row-group terms, with and without term statistics."""
+    from rindex.search import _SegmentReader, read_postings_rows
+
+    n = 3000
+    terms = [f"t{i:05d}" for i in range(n)]
+    pq.write_table(
+        pa.table({
+            "term": terms,
+            "df": pa.array(np.arange(n) % 7 + 1, pa.int64()),
+            "ttf": pa.array(np.arange(n) % 11 + 1, pa.int64()),
+            **{c: pa.array([[i, i + 1] for i in range(n)],
+                           pa.list_(pa.int64()))
+               for c in _SegmentReader._COLS[3:-1]},
+            "blob": pa.array([t.encode() * 3 for t in terms], pa.binary()),
+        }),
+        str(tmp_path / "postings.parquet"),
+        row_group_size=n // 2, write_statistics=stats,
+    )
+    assert pq.ParquetFile(tmp_path / "postings.parquet").num_row_groups == 2
+
+    def dataset_read(want):
+        tbl = pq.read_table(str(tmp_path / "postings.parquet"),
+                            filters=[("term", "in", want)],
+                            columns=_SegmentReader._COLS)
+        found = {row["term"]: row for row in tbl.to_pylist()}
+        return {t: found.get(t) for t in want}
+
+    for want in (
+        ["t00042"],                                 # present
+        ["nope", "t99999", "a"],                    # absent (both ends too)
+        [terms[0]],                                 # first
+        [terms[-1]],                                # last
+        [terms[n // 2 - 1], terms[n // 2], "t01500x"],  # across the groups
+        [terms[7], "zzz", terms[7], terms[2999]],   # duplicates, mixed
+    ):
+        got = read_postings_rows(str(tmp_path), want)
+        assert got == dataset_read(want)
+        assert sum(r is not None for r in got.values()) == len(
+            {t for t in want if t in set(terms)}
+        )

@@ -132,6 +132,41 @@ def test_fetch_intersect_innerjoin_builders(ray_session):
         STREAM_BUILDERS["table"] = orig
 
 
+@pytest.mark.parametrize("bcast_max", [200000, 0])
+def test_fetch_runs_right_stream_once(ray_session, tmp_path, monkeypatch,
+                                      bcast_max):
+    """fetch()'s size gate and its join share one run of the right
+    stream's pipeline, on the broadcast and on the hash-join path."""
+    import ray.data as rd
+
+    import rindex.ops.streamlang as sl
+
+    monkeypatch.setattr(sl, "STREAM_BCAST_MAX_ROWS", bcast_max)
+    log = tmp_path / "right_batches.log"
+
+    def logged(t):
+        with open(log, "a") as f:
+            f.write("batch\n")
+        return t
+
+    views = {
+        "l": lambda ctx: rd.from_pandas(
+            pd.DataFrame({"k": [1, 2, 3, 4], "v": [10, 20, 30, 40]})
+        ),
+        "r": lambda ctx: rd.from_pandas(
+            pd.DataFrame({"rk": [2, 4, 9], "extra": ["b", "d", "z"]})
+        ).map_batches(logged, batch_format="pandas"),
+    }
+    views["r"](None).materialize()
+    one_run = log.read_text().count("batch")
+    log.unlink()
+    got = sl.compile_stream(
+        'fetch(table(l), table(r), on="k=rk")', "", views
+    ).to_pandas().sort_values("k")
+    assert got["extra"].tolist()[1::2] == ["b", "d"]
+    assert log.read_text().count("batch") == one_run
+
+
 def test_facet_stats_timeseries_builders(ray_session):
     import numpy as np
     import ray.data as rd
