@@ -800,22 +800,7 @@ def q_ascii_fold_topterms_documents(sf_dir: str):
     'ascii_folding').  Corpus text is ASCII so folding is the identity
     HERE; the accent behavior itself is pinned by tests/test_analysis.py
     against strip_accents semantics."""
-    from collections import Counter
-
-    from rindex.analysis import get_analyzer
-
-    ds = read_table(sf_dir, "documents", ["text"])
-    an = get_analyzer("ascii_folding")
-
-    def count(texts):
-        c = Counter()
-        for x in texts:
-            c.update(an.tokens(x or ""))
-        return c
-
-    return _sum_sort_limit(ds.map_batches(
-        _count_partial(count), batch_format="pyarrow", zero_copy_batch=True
-    ), TOP_TERMS)
+    return _analyzer_topterms(sf_dir, "ascii_folding")
 
 
 QUERIES["ascii_fold_topterms_documents"] = q_ascii_fold_topterms_documents
@@ -909,22 +894,7 @@ ORACLE["char_ngram_topterms_documents"] = f"""
 def q_minimal_stem_topterms_documents(sf_dir: str):
     """EnglishMinimalStemFilter (S-stemmer): top terms after plural
     stripping (analyzer 'en_minimal_stem')."""
-    from collections import Counter
-
-    from rindex.analysis import get_analyzer
-
-    ds = read_table(sf_dir, "documents", ["text"])
-    an = get_analyzer("en_minimal_stem")
-
-    def count(texts):
-        c = Counter()
-        for x in texts:
-            c.update(an.tokens(x or ""))
-        return c
-
-    return _sum_sort_limit(ds.map_batches(
-        _count_partial(count), batch_format="pyarrow", zero_copy_batch=True
-    ), TOP_TERMS)
+    return _analyzer_topterms(sf_dir, "en_minimal_stem")
 
 
 QUERIES["minimal_stem_topterms_documents"] = q_minimal_stem_topterms_documents
@@ -1257,11 +1227,10 @@ def _soundex_sql(col: str) -> str:
     )
 
 
-def q_soundex_topterms_documents(sf_dir: str):
-    """PhoneticFilter with the Soundex encoder: top phonetic codes over
-    the corpus vocabulary (each token replaced by its code, like
-    inject=false).  Codes computed once per DISTINCT term per batch
-    (dictionary-encode first), not per occurrence."""
+def _phonetic_topterms(sf_dir: str, encode):
+    """Top phonetic codes over the corpus (PhoneticFilter, inject=false:
+    each token replaced by `encode(token)`; a None code drops the token).
+    Codes are memoized per DISTINCT token per batch, not per occurrence."""
     from collections import Counter
 
     ds = read_table(sf_dir, "documents", ["text"])
@@ -1271,15 +1240,23 @@ def q_soundex_topterms_documents(sf_dir: str):
         memo: dict = {}
         for x in texts:
             for t in _TOKEN_RE.findall(x or ""):
-                code = memo.get(t)
-                if code is None:
-                    code = memo[t] = soundex(t)
-                c[code] += 1
+                if t not in memo:
+                    memo[t] = encode(t)
+                if memo[t] is not None:
+                    c[memo[t]] += 1
         return c
 
     return _sum_sort_limit(ds.map_batches(
         _count_partial(count), batch_format="pyarrow", zero_copy_batch=True
     ), TOP_TERMS)
+
+
+def q_soundex_topterms_documents(sf_dir: str):
+    """PhoneticFilter with the Soundex encoder: top phonetic codes over
+    the corpus vocabulary (each token replaced by its code, like
+    inject=false).  Codes computed once per DISTINCT term per batch
+    (dictionary-encode first), not per occurrence."""
+    return _phonetic_topterms(sf_dir, soundex)
 
 
 QUERIES["soundex_topterms_documents"] = q_soundex_topterms_documents
@@ -1513,25 +1490,7 @@ def q_metaphone_topterms_documents(sf_dir: str):
     """Metaphone bucket counts: top 20 phonetic codes by collection
     frequency (the PhoneticFilter indexing shape, memoized per distinct
     token per worker like the soundex op)."""
-    from collections import Counter
-
-    ds = read_table(sf_dir, "documents", ["text"])
-
-    def count(texts):
-        c = Counter()
-        memo: dict[str, str] = {}
-        for x in texts:
-            for t in _TOKEN_RE.findall(x or ""):
-                code = memo.get(t)
-                if code is None:
-                    code = memo[t] = metaphone(t)
-                if code:
-                    c[code] += 1
-        return c
-
-    return _sum_sort_limit(ds.map_batches(
-        _count_partial(count), batch_format="pyarrow", zero_copy_batch=True
-    ), TOP_TERMS)
+    return _phonetic_topterms(sf_dir, lambda t: metaphone(t) or None)
 
 
 QUERIES["metaphone_topterms_documents"] = q_metaphone_topterms_documents
@@ -2458,24 +2417,7 @@ def q_refined_soundex_topterms_documents(sf_dir: str):
     """PhoneticFilter with the RefinedSoundex encoder (inject=false):
     top codes over the corpus; codes memoized per DISTINCT term per
     batch like the Soundex op."""
-    from collections import Counter
-
-    ds = read_table(sf_dir, "documents", ["text"])
-
-    def count(texts):
-        c = Counter()
-        memo: dict = {}
-        for x in texts:
-            for t in _TOKEN_RE.findall(x or ""):
-                code = memo.get(t)
-                if code is None:
-                    code = memo[t] = refined_soundex(t)
-                c[code] += 1
-        return c
-
-    return _sum_sort_limit(ds.map_batches(
-        _count_partial(count), batch_format="pyarrow", zero_copy_batch=True
-    ), TOP_TERMS)
+    return _phonetic_topterms(sf_dir, refined_soundex)
 
 
 QUERIES["refined_soundex_topterms_documents"] = (
@@ -2532,24 +2474,7 @@ def _match_rating_sql(col: str) -> str:
 def q_match_rating_topterms_documents(sf_dir: str):
     """PhoneticFilter with the MatchRatingApproach encoder: top codes
     over the corpus."""
-    from collections import Counter
-
-    ds = read_table(sf_dir, "documents", ["text"])
-
-    def count(texts):
-        c = Counter()
-        memo: dict = {}
-        for x in texts:
-            for t in _TOKEN_RE.findall(x or ""):
-                code = memo.get(t)
-                if code is None:
-                    code = memo[t] = match_rating_encode(t)
-                c[code] += 1
-        return c
-
-    return _sum_sort_limit(ds.map_batches(
-        _count_partial(count), batch_format="pyarrow", zero_copy_batch=True
-    ), TOP_TERMS)
+    return _phonetic_topterms(sf_dir, match_rating_encode)
 
 
 QUERIES["match_rating_topterms_documents"] = q_match_rating_topterms_documents
@@ -2608,29 +2533,10 @@ ORACLE["keep_word_topterms_documents"] = f"""
 # (same oracle shape as ascii_fold_topterms).
 
 
-def _scand_topterms(sf_dir: str, analyzer_name: str):
-    from collections import Counter
-
-    from rindex.analysis import get_analyzer
-
-    ds = read_table(sf_dir, "documents", ["text"])
-    an = get_analyzer(analyzer_name)
-
-    def count(texts):
-        c = Counter()
-        for x in texts:
-            c.update(an.tokens(x or ""))
-        return c
-
-    return _sum_sort_limit(ds.map_batches(
-        _count_partial(count), batch_format="pyarrow", zero_copy_batch=True
-    ), TOP_TERMS)
-
-
 def q_scandinavian_fold_topterms_documents(sf_dir: str):
     """ScandinavianFoldingFilter: top terms after the fold (digraph
     collapse is live on this corpus: oo->o etc.)."""
-    return _scand_topterms(sf_dir, "scandinavian_fold")
+    return _analyzer_topterms(sf_dir, "scandinavian_fold")
 
 
 QUERIES["scandinavian_fold_topterms_documents"] = (
@@ -2651,7 +2557,7 @@ def q_turkish_lower_topterms_documents(sf_dir: str):
     """TurkishLowerCaseFilter chain: identity on the ASCII corpus (no
     capital I in the lowercase corpus); the dotless-i behavior is pinned
     by tests/test_r5_ops.py."""
-    return _scand_topterms(sf_dir, "turkish_lower")
+    return _analyzer_topterms(sf_dir, "turkish_lower")
 
 
 QUERIES["turkish_lower_topterms_documents"] = (
@@ -2668,7 +2574,7 @@ ORACLE["turkish_lower_topterms_documents"] = f"""
 def q_decimal_digit_topterms_documents(sf_dir: str):
     """DecimalDigitFilter chain: identity on the ASCII corpus (fast-path
     short-circuit); Unicode-digit folding pinned by tests/test_r5_ops.py."""
-    return _scand_topterms(sf_dir, "decimal_digit")
+    return _analyzer_topterms(sf_dir, "decimal_digit")
 
 
 QUERIES["decimal_digit_topterms_documents"] = (

@@ -17,18 +17,17 @@ Engine shape (Ray-Data-first, no per-row Python):
   (would match every position) and no ANY into an accept state (an ANY
   consuming a past-the-end position could accept spuriously; a trailing
   term transition self-verifies existence by intersecting postings).
-- Per segment, each involved term contributes ONE flat sorted int64 key
-  array doc*stride + pos from the positional postings (the same
-  composite-key trick the ComplexPhrase / span family uses,
-  rindex/ops/multiterm.py).  The NFA frontier S[q] is a sorted key array
-  meaning "state q reachable, next unconsumed position = key".  A term
-  transition is ONE np.intersect1d against the term's occurrence keys
-  (+1 shift); an ANY transition is a +1 shift.  Accepting keys across
-  accept states are unioned and counted per doc with np.unique —
+- Each involved term contributes ONE flat sorted int64 key array
+  doc*stride + pos from the positional postings of the index's one
+  reader (`_flat_doc_pos`, the same composite-key trick the
+  ComplexPhrase / span family uses).  The NFA frontier S[q] is a sorted
+  key array meaning "state q reachable, next unconsumed position = key".
+  A term transition is ONE np.intersect1d against the term's occurrence
+  keys (+1 shift); an ANY transition is a +1 shift.  Accepting keys
+  across accept states are unioned and counted per doc with np.unique —
   freq = number of distinct match END positions (Lucene enumerates
   distinct accepting positions for the scorer's freq as well).
-- Work per segment is O(Σ df·tf of the automaton's terms), never the
-  corpus; segments are independent tasks in the searcher's pool.
+- Work is O(Σ df·tf of the automaton's terms), never the corpus.
 
 At 100 TB the shape is unchanged: postings for a handful of terms are
 read per segment (Parquet row-group pruned by the sorted term
@@ -62,7 +61,7 @@ def run_term_automaton(
     transitions: list[tuple[int, str | None, int]],
     accept: frozenset,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a term automaton against one positional segment reader.
+    """Evaluate a term automaton against one positional reader.
     Returns (local_docs, freqs) — distinct accepting end positions per
     doc.  Pure numpy set algebra; no Python loop over rows/positions."""
     for f, lab, t in transitions:
@@ -72,29 +71,14 @@ def run_term_automaton(
             raise ValueError("ANY out of the start state is unbounded")
         if lab is None and t in accept:
             raise ValueError("ANY into an accept state is unverifiable")
+    from rindex.ops.lucene8 import _flat_doc_pos
+
     terms = sorted({lab for _, lab, _ in transitions if lab is not None})
     posts = reader.positions_for(terms)
-    if all(posts[t] is None for t in terms):
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    maxpos = 0
-    keys: dict[str, np.ndarray] = {}
-    for t in terms:
-        row = posts[t]
-        if row is None:
-            keys[t] = np.empty(0, np.int64)
-            continue
-        docs, tfs, pos, _ = row
-        maxpos = max(maxpos, int(pos.max()) if len(pos) else 0)
-        keys[t] = (docs, tfs, pos)  # stride applied after maxpos known
+    flat = {t: _flat_doc_pos(posts, [t]) for t in terms}
+    maxpos = max((int(p.max()) for _, p in flat.values() if len(p)), default=0)
     stride = np.int64(maxpos + 3)
-    for t in terms:
-        v = keys[t]
-        if isinstance(v, tuple):
-            docs, tfs, pos = v
-            k = np.repeat(docs.astype(np.int64), tfs) * stride + pos.astype(
-                np.int64
-            )
-            keys[t] = np.sort(k)
+    keys = {t: np.sort(d * stride + p) for t, (d, p) in flat.items()}
     n_states = max(t for _, _, t in transitions) + 1
     frontier: list[np.ndarray | None] = [None] * n_states
     for f, lab, t in transitions:
@@ -134,22 +118,15 @@ def q_term_automaton_documents(sf_dir: str):
     """TermAutomatonQuery for «(hash|merge) (any)? join»: doc_id + number
     of distinct accepting end positions (the scorer freq)."""
     from rindex.ops.fulltext import documents_index_pos
+    from rindex.ops.util import live_id_rows
     from rindex.search import IndexSearcher
 
-    idx = documents_index_pos(sf_dir)
-    s = IndexSearcher(idx)
-    rows = []
-    for r in s.readers:
-        uniq, cnt = run_term_automaton(r, TA_TRANSITIONS, TA_ACCEPT)
-        if not len(uniq):
-            continue
-        ids = r.fetch_ids(uniq, ["doc_id"])
-        for local, c in zip(uniq, cnt):
-            rows.append((ids[int(local)][0], int(c)))
+    r = IndexSearcher(documents_index_pos(sf_dir)).reader()
+    rows = live_id_rows(r, *run_term_automaton(r, TA_TRANSITIONS, TA_ACCEPT))
     out = pd.DataFrame(rows, columns=["doc_id", "ta_freq"])
     out["doc_id"] = out["doc_id"].astype("int64")
     out["ta_freq"] = out["ta_freq"].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    return out
 
 
 QUERIES["term_automaton_documents"] = q_term_automaton_documents

@@ -462,6 +462,14 @@ def _with_doc_values(pairs, per_doc, col: str, join: bool):
     )
 
 
+def _no_pairs() -> pd.DataFrame:
+    """The typed (doc_a, doc_b, jaccard) frame of a near-dup op that finds
+    no pair."""
+    return pd.DataFrame({"doc_a": np.zeros(0, np.int64),
+                         "doc_b": np.zeros(0, np.int64),
+                         "jaccard": np.zeros(0, np.float64)})
+
+
 def _jaccard_from_counts(counts, docs, tau: float, log_label: str):
     """Dataset[(pk, sum(n))] -> verified near-dup pairs.  The multiplicity
     IS the intersection size (shingles are distinct per doc), so jaccard =
@@ -470,6 +478,9 @@ def _jaccard_from_counts(counts, docs, tau: float, log_label: str):
     else joined (`_with_doc_values`) — either way the filter runs per
     batch, distributed; only rows passing tau (plus the tiny drop-count
     sentinel) ever reach the driver."""
+    n_docs = docs.count()
+    if n_docs == 0:  # no doc has a shingle
+        return _no_pairs()
     sizes = docs.map_batches(
         lambda t: pa.table({
             "doc_id": t["doc_id"],
@@ -480,7 +491,7 @@ def _jaccard_from_counts(counts, docs, tau: float, log_label: str):
     pairs = counts.map_batches(
         _unpack_pairs, batch_format="pyarrow", zero_copy_batch=True
     )
-    join = docs.count() > DEDUP_BCAST_MAX_DOCS
+    join = n_docs > DEDUP_BCAST_MAX_DOCS
     if join:
         # sentinel rows would die in the inner joins, so their count is
         # folded out first (a tiny distributed filter)
@@ -489,6 +500,8 @@ def _jaccard_from_counts(counts, docs, tau: float, log_label: str):
         dropped = int(_dd["doc_b"].sum()) if len(_dd) else 0
         if dropped:
             _log_drops(log_label, dropped)
+        if pairs.count() == len(_dd):  # no pair to join
+            return _no_pairs()
         pairs = pairs.filter(expr=f"doc_a != {_DROP_SENTINEL}")
 
     def finish(t: pa.Table) -> pa.Table:
@@ -507,6 +520,8 @@ def _jaccard_from_counts(counts, docs, tau: float, log_label: str):
     res = _with_doc_values(pairs, sizes, "n", join).map_batches(
         finish, batch_format="pyarrow"
     ).to_pandas()
+    if len(res) == 0:  # no pair passed tau: an empty Dataset has no columns
+        return _no_pairs()
     drop_m = res["doc_a"].to_numpy() == _DROP_SENTINEL
     if drop_m.any():
         _log_drops(log_label, int(res["doc_b"].to_numpy()[drop_m].sum()))
@@ -663,8 +678,7 @@ def q_minhash_lsh_neardup(sf_dir: str):
         _log_drops("minhash_lsh", int(cand_df["n"].to_numpy()[drop_m].sum()))
     cand_pk = np.unique(pk[~drop_m])
     if not len(cand_pk):  # no candidate (or every bucket capped)
-        return pd.DataFrame({"doc_a": cand_pk, "doc_b": cand_pk,
-                             "jaccard": cand_pk.astype(np.float64)})
+        return _no_pairs()
     ids_ref = ray.put(np.unique(np.r_[cand_pk >> 32, cand_pk & 0xFFFFFFFF]))
 
     def keep_cands(t: pa.Table) -> pa.Table:

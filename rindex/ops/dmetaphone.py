@@ -17,15 +17,7 @@ from __future__ import annotations
 
 import re
 
-import pyarrow as pa
-
-from rindex.ops.analysis_ext import (
-    TOP_TERMS,
-    _count_partial,
-    _sum_sort_limit,
-    _TOKEN_RE,
-)
-from rindex.ops.util import read_table
+from rindex.ops.analysis_ext import _phonetic_topterms
 
 QUERIES: dict = {}
 ORACLE: dict = {}
@@ -431,25 +423,7 @@ def q_dmetaphone_topterms_documents(sf_dir: str):
     frequency, plus how often the alternate differs (the ambiguity the
     filter indexes both codes for).  Memoized per distinct token per
     worker like the classic-Metaphone/soundex ops."""
-    from collections import Counter
-
-    ds = read_table(sf_dir, "documents", ["text"])
-
-    def count(texts):
-        c = Counter()
-        memo: dict[str, str] = {}
-        for x in texts:
-            for t in _TOKEN_RE.findall(x or ""):
-                code = memo.get(t)
-                if code is None:
-                    code = memo[t] = double_metaphone(t)[0]
-                if code:
-                    c[code] += 1
-        return c
-
-    return _sum_sort_limit(ds.map_batches(
-        _count_partial(count), batch_format="pyarrow", zero_copy_batch=True
-    ), TOP_TERMS)
+    return _phonetic_topterms(sf_dir, lambda t: double_metaphone(t)[0] or None)
 
 
 QUERIES["dmetaphone_topterms_documents"] = q_dmetaphone_topterms_documents

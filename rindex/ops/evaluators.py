@@ -4096,6 +4096,14 @@ ORACLE["eval_precision_recall_documents"] = """
 # ---------------------------------------------------------------------------
 
 
+def _copy_of(arr, n=None) -> np.ndarray:
+    """Java Arrays.copyOf: the first n values, zero-padded past the end."""
+    a = np.asarray(arr, np.float64)
+    out = np.zeros(len(a) if n is None else int(n), np.float64)
+    out[: len(a)] = a[: len(out)]
+    return out
+
+
 def _describe(v):
     """DescribeEvaluator: the commons-math DescriptiveStatistics map
     (N/min/max/sum/mean/var/stddev; sample variance like the reference)."""
@@ -4151,9 +4159,7 @@ EVALUATORS.update({
     "mode": _mode,
     "anova": _anova,
     "pairedTtest": _paired_ttest,
-    "copyOf": lambda arr, n=None: np.asarray(arr, np.float64)[
-        : (int(n) if n is not None else len(np.asarray(arr)))
-    ].copy(),
+    "copyOf": _copy_of,
     "copyOfRange": lambda arr, a, b: np.asarray(arr, np.float64)[
         int(a):int(b)
     ].copy(),

@@ -782,23 +782,25 @@ QUERIES["bm25_incremental_merge_documents"] = q_bm25_incremental_merge_documents
 ORACLE["bm25_incremental_merge_documents"] = _bm25_oracle_sql()
 
 
-def q_term_search_documents(sf_dir: str):
-    """Single-term search: all matching doc ids (TermQuery as a filter,
-    reference: `lucene/core/src/java/org/apache/lucene/search/TermQuery.java`
-    — served from the inverted index postings, not a scan)."""
-    from rindex.codec import decode_posting
+def _term_doc_ids(index_dir: str, term: str) -> list:
+    """doc_id of every live doc holding `term`, ascending (TermQuery as a
+    filter, reference: `lucene/core/src/java/org/apache/lucene/search/
+    TermQuery.java` — served from the inverted index postings, not a
+    scan)."""
+    from rindex.ops.util import live_id_rows
     from rindex.search import IndexSearcher
 
-    idx = documents_index(sf_dir)
-    s = IndexSearcher(idx)
-    docs = []
-    for r in s.readers:
-        row = r.postings_for(["dup"]).get("dup")
-        if row is not None:
-            d, _, _ = decode_posting(row)
-            ids = r.fetch_ids(d.astype(np.int64), ["doc_id"])
-            docs.extend(v[0] for v in ids.values())
-    return pd.DataFrame({"doc_id": sorted(docs)})
+    r = IndexSearcher(index_dir).reader()
+    row = r.postings_for([term])[term]
+    if row is None:
+        return []
+    docs = r.decoded(term, row)[0]
+    return [i for i, _ in live_id_rows(r, docs, docs)]
+
+
+def q_term_search_documents(sf_dir: str):
+    """Single-term search: all matching doc ids."""
+    return pd.DataFrame({"doc_id": _term_doc_ids(documents_index(sf_dir), "dup")})
 
 
 QUERIES["term_search_documents"] = q_term_search_documents
@@ -2552,11 +2554,12 @@ def q_common_terms_query_documents(sf_dir: str):
 
     Engine shape: the term split reads only the term DICTIONARY df
     (global_df — dictionary columns, no posting bodies), then one dense
-    per-segment accumulator pass scores all terms while counting
-    low-frequency hits (the _segment_match_scores kernel shape with the
-    hit counter restricted to the MUST subset).  On 'dup table scan' with
+    accumulator pass over the index's one reader scores all terms while
+    counting low-frequency hits (the _segment_match_scores kernel shape
+    with the hit counter restricted to the MUST subset).  On 'dup table scan' with
     maxTermFrequency=0.3 the split is rare={dup}, common={table, scan} at
     both driver scales."""
+    from rindex.ops.util import live_id_rows
     from rindex.search import IndexSearcher
 
     idx = documents_index(sf_dir)
@@ -2565,29 +2568,22 @@ def q_common_terms_query_documents(sf_dir: str):
     df = s.global_df(terms)
     rare = [t for t in terms if df[t] / s.n_docs <= CTQ_MAX_FREQ]
     idf = s.term_weights(terms, df)
-    rows = []
-    for r in s.readers:
-        posts = r.postings_for(terms)
-        acc = np.zeros(r.max_doc, dtype=np.float64)
-        hits = np.zeros(r.max_doc, dtype=np.int64)
-        for t in terms:  # fixed query-term order: deterministic float sum
-            row = posts.get(t)
-            if row is None:
-                continue
-            d, tf_arr, nrm = r.decoded(t, row)
-            acc[d] += s.sim.score(
-                idf[t], tf_arr.astype(np.float64), s.cache[nrm]
-            )
-            if t in rare:
-                hits[d] += 1
-        cand = np.nonzero(hits >= len(rare))[0]
-        cand = cand[acc[cand] > 0]
-        if len(cand) == 0:
+    r = s.reader()
+    posts = r.postings_for(terms)
+    acc = np.zeros(r.max_doc, dtype=np.float64)
+    hits = np.zeros(r.max_doc, dtype=np.int64)
+    for t in terms:  # fixed query-term order: deterministic float sum
+        row = posts[t]
+        if row is None:
             continue
-        ids = r.fetch_ids(cand.astype(np.int64), ["doc_id"])
-        for local, vals in ids.items():
-            rows.append((vals[0], acc[local]))
-    out = pd.DataFrame(rows, columns=["doc_id", "score"])
+        d, tf_arr, nrm = r.decoded(t, row)
+        acc[d] += s.sim.score(idf[t], tf_arr.astype(np.float64), s.cache[nrm])
+        if t in rare:
+            hits[d] += 1
+    cand = np.nonzero(hits >= len(rare))[0]
+    cand = cand[acc[cand] > 0]
+    out = pd.DataFrame(live_id_rows(r, cand, acc[cand]),
+                       columns=["doc_id", "score"])
     out["score"] = out["score"].round(6)
     out = out.sort_values(
         ["score", "doc_id"], ascending=[False, True], kind="mergesort"
@@ -2646,25 +2642,11 @@ def q_shard_split_search_documents(sf_dir: str):
     The op self-checks the shard contract LOUDLY: a doc served by both
     children means the hash ranges overlap."""
     from rindex.merge import split_index
-    from rindex.search import IndexSearcher
-    from rindex.codec import decode_posting
 
     idx = documents_index(sf_dir)
     children = [idx + "-split0", idx + "-split1"]
     split_index(idx, children)
-
-    def term_docs(index_dir: str) -> list[int]:
-        s = IndexSearcher(index_dir)
-        out = []
-        for r in s.readers:
-            row = r.postings_for(["dup"]).get("dup")
-            if row is not None:
-                d, _, _ = decode_posting(row)
-                ids = r.fetch_ids(d.astype(np.int64), ["doc_id"])
-                out.extend(v[0] for v in ids.values())
-        return out
-
-    a, b = term_docs(children[0]), term_docs(children[1])
+    a, b = (_term_doc_ids(c, "dup") for c in children)
     overlap = set(a) & set(b)
     if overlap:
         raise AssertionError(
@@ -2879,34 +2861,19 @@ def q_span_position_range_documents(sf_dir: str):
     [{SPAN_POS_LO}, {SPAN_POS_HI}), with the in-window occurrence count."""
     import pandas as pd
 
+    from rindex.ops.util import live_id_rows
     from rindex.search import IndexSearcher
 
-    idx = documents_index_pos(sf_dir)
-    s = IndexSearcher(idx)
+    r = IndexSearcher(documents_index_pos(sf_dir)).reader()
+    got = r.positions_for([SPAN_POS_TERM])[SPAN_POS_TERM]
     rows = []
-    for reader in s.readers:
-        got = reader.positions_for([SPAN_POS_TERM])[SPAN_POS_TERM]
-        if got is None:
-            continue
+    if got is not None:
         docs, tfs, pos = got[:3]
-        docs = np.asarray(docs, dtype=np.int64)
-        tfs = np.asarray(tfs, dtype=np.int64)
-        pos = np.asarray(pos, dtype=np.int64)
-        starts = np.concatenate([[0], np.cumsum(tfs)[:-1]])
-        # vectorized per-doc window counts: two searchsorteds restricted to
-        # each doc's position run via reduceat over the in-window mask
+        # per-doc window counts: a reduceat of the in-window mask over each
+        # doc's position run
         inw = ((pos >= SPAN_POS_LO) & (pos < SPAN_POS_HI)).astype(np.int64)
-        n = np.add.reduceat(inw, starts) if len(pos) else np.zeros(0, np.int64)
-        live = reader.drop_deleted(docs)
-        keep = (n > 0) & np.isin(docs, live, assume_unique=True)
-        hit_docs, hit_n = docs[keep], n[keep]
-        if len(hit_docs) == 0:
-            continue
-        ids = reader.fetch_ids(hit_docs, s.id_cols)
-        rows.extend(
-            (*ids[int(d)], int(c)) for d, c in zip(hit_docs, hit_n)
-        )
-    rows.sort(key=lambda r: r[:-1])
+        n = np.add.reduceat(inw, np.cumsum(tfs) - tfs)
+        rows = live_id_rows(r, docs[n > 0], n[n > 0])
     return pd.DataFrame(
         {
             "doc_id": [r[0] for r in rows],
@@ -3156,6 +3123,7 @@ def q_explain_scores_documents(sf_dir: str):
     saturation, and the term's score part — reconstructed from the SAME
     postings the scorer read, so sum(parts) is bit-identical to the hit
     score.  The oracle re-derives every leaf of the explanation in SQL."""
+    from rindex.ops.util import live_id_rows
     from rindex.schema import B, K1
     from rindex.search import IndexSearcher
 
@@ -3166,33 +3134,24 @@ def q_explain_scores_documents(sf_dir: str):
     top_ids = {int(h[1]) for h in hits}
     df = s.global_df(terms)
     n, avgdl = float(s.n_docs), float(s.sum_dl) / float(s.n_docs)
+    r = s.reader()
+    posts = r.postings_for(terms)
     rows = []
-    for reader in s.readers:
-        posts = reader.postings_for(terms)
-        for t in terms:
-            row = posts.get(t)
-            if row is None:
+    for t in terms:
+        if posts[t] is None:
+            continue
+        d, tf_arr, nrm = r.decoded(t, posts[t])
+        ldl = NORM_DECODE_TABLE[nrm].astype(np.float64)
+        idf = np.log(1.0 + (n - df[t] + 0.5) / (df[t] + 0.5))
+        for did, tf, dl in live_id_rows(r, d, tf_arr, ldl):
+            if did not in top_ids:
                 continue
-            from rindex.codec import NORM_DECODE_TABLE
-
-            d, tf_arr, nrm = reader.decoded(t, row)
-            ids = reader.fetch_ids(np.asarray(d, dtype=np.int64), s.id_cols)
-            ldl = NORM_DECODE_TABLE[nrm].astype(np.float64)
-            for j in range(len(d)):
-                did = int(ids[int(d[j])][0])
-                if did not in top_ids:
-                    continue
-                tf = float(tf_arr[j])
-                idf = np.log(1.0 + (n - df[t] + 0.5) / (df[t] + 0.5))
-                sat = tf / (tf + K1 * (1.0 - B + B * float(ldl[j]) / avgdl))
-                rows.append(
-                    (
-                        did, t, int(tf), int(df[t]),
-                        round(float(idf), 6), float(ldl[j]),
-                        round(float(sat), 6),
-                        round(float(idf * sat), 6),
-                    )
-                )
+            tf = float(tf)
+            sat = tf / (tf + K1 * (1.0 - B + B * float(dl) / avgdl))
+            rows.append((
+                did, t, int(tf), int(df[t]), round(float(idf), 6), float(dl),
+                round(float(sat), 6), round(float(idf * sat), 6),
+            ))
     rows.sort(key=lambda r: (r[0], r[1]))
     return pd.DataFrame(
         rows,

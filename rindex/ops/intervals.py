@@ -113,79 +113,52 @@ def filter_containing(s, e, pc_: np.ndarray, invert: bool = False):
     return s[keep], e[keep]
 
 
+def _candidate_runs(sf_dir: str, must: list[str], may: list[str]):
+    """The positional documents index's one reader, the docs holding every
+    `must` term (ascending docIDs, the postings intersection), and each
+    must/may term's position run per such doc (`_doc_runs`)."""
+    from functools import reduce
+
+    from rindex.ops.fulltext import documents_index_pos
+    from rindex.search import IndexSearcher, _doc_runs
+
+    r = IndexSearcher(documents_index_pos(sf_dir)).reader()
+    posts = r.positions_for(must + may)
+    common = np.zeros(0, np.int64)
+    if all(posts[t] is not None for t in must):
+        common = reduce(np.intersect1d, (posts[t][0] for t in must))
+    return r, common, {t: _doc_runs(p, common) for t, p in posts.items()}
+
+
 def _interval_scan(sf_dir: str, term_a: str, term_b: str, ordered: bool,
                    maxgaps: int | None = None, containing: str | None = None,
                    not_containing: str | None = None) -> pd.DataFrame:
-    """Shared driver: per segment, intersect the two terms' postings,
-    enumerate minimal intervals per candidate doc, apply the filter
-    combinators, emit (doc_id, n_intervals, min_width)."""
-    from rindex.ops.fulltext import documents_index_pos
-    from rindex.search import IndexSearcher
+    """Shared scan: intersect the two terms' postings, enumerate minimal
+    intervals per candidate doc, apply the filter combinators, emit
+    (doc_id, n_intervals, min_width)."""
+    from rindex.ops.util import live_id_rows
 
-    idx = documents_index_pos(sf_dir)
-    s_ = IndexSearcher(idx)
-    extra = containing or not_containing
-    rows: list[tuple] = []
-    for reader in s_.readers:
-        want = [term_a, term_b] + ([extra] if extra else [])
-        posts = reader.positions_for(want)
-        if posts[term_a] is None or posts[term_b] is None:
-            continue
-        common = np.intersect1d(posts[term_a][0], posts[term_b][0])
+    r, common, runs = _candidate_runs(
+        sf_dir, [term_a, term_b] + ([containing] if containing else []),
+        [not_containing] if not_containing else [],
+    )
+    minimal = minimal_ordered if ordered else minimal_unordered
+    match_docs, match_n, match_w = [], [], []
+    for i, d in enumerate(common):
+        s, e = minimal(runs[term_a][i], runs[term_b][i])
+        if maxgaps is not None and len(s):
+            keep = (e - s + 1) - 2 <= maxgaps
+            s, e = s[keep], e[keep]
         if containing is not None:
-            if posts[containing] is None:
-                continue
-            common = np.intersect1d(common, posts[containing][0])
-        common = reader.drop_deleted(common)
-        if len(common) == 0:
-            continue
-        runs = {}
-        for t in {term_a, term_b, extra} - {None}:
-            docs, tfs, pos = posts[t][:3]
-            starts = np.concatenate([[0], np.cumsum(tfs)[:-1]])
-            at = np.searchsorted(docs, common)
-            # docs lacking the filter term get an empty run
-            present = (at < len(docs)) & (docs[np.minimum(at, len(docs) - 1)]
-                                          == common)
-            runs[t] = (starts, tfs, pos, at, present)
-        match_docs, match_n, match_w = [], [], []
-        for i, d in enumerate(common):
-
-            def _run(t, i=i):
-                starts, tfs, pos, at, present = runs[t]
-                if not present[i]:
-                    return np.empty(0, np.int64)
-                j = at[i]
-                return np.asarray(pos[starts[j]: starts[j] + tfs[j]],
-                                  dtype=np.int64)
-
-            pa, pb = _run(term_a), _run(term_b)
-            if ordered:
-                s, e = minimal_ordered(pa, pb)
-            else:
-                s, e = minimal_unordered(pa, pb)
-            if maxgaps is not None and len(s):
-                keep = (e - s + 1) - 2 <= maxgaps
-                s, e = s[keep], e[keep]
-            if containing is not None:
-                s, e = filter_containing(s, e, _run(containing))
-            if not_containing is not None:
-                s, e = filter_containing(s, e, _run(not_containing),
-                                         invert=True)
-            if len(s) == 0:
-                continue
-            match_docs.append(int(d))
+            s, e = filter_containing(s, e, runs[containing][i])
+        if not_containing is not None:
+            s, e = filter_containing(s, e, runs[not_containing][i],
+                                     invert=True)
+        if len(s):
+            match_docs.append(d)
             match_n.append(len(s))
             match_w.append(int((e - s).min()) + 1)
-        if match_docs:
-            ids = reader.fetch_ids(
-                np.asarray(match_docs, dtype=np.int64), s_.id_cols
-            )
-            rows.extend(
-                (*ids[d], n, w)
-                for d, n, w in zip(match_docs, match_n, match_w)
-            )
-    rows.sort(key=lambda r: r[:-2])
+    rows = live_id_rows(r, match_docs, match_n, match_w)
     return pd.DataFrame(
         {"doc_id": [r[0] for r in rows],
          "n_intervals": pd.array([r[1] for r in rows], dtype="int64"),
@@ -333,69 +306,26 @@ def q_intervals_before_after_documents(sf_dir: str):
     (hash, join) intervals that END before some '{BA_BEFORE_REF}'
     occurrence (before) or START after some '{BA_AFTER_REF}' occurrence
     (after).  Per doc: surviving-interval counts for both combinators;
-    docs where either survives.  Same per-segment positional scan as the
-    other interval ops."""
-    from rindex.ops.fulltext import documents_index_pos
-    from rindex.search import IndexSearcher
+    docs where either survives.  Same positional scan as the other
+    interval ops."""
+    from rindex.ops.util import live_id_rows
 
-    idx = documents_index_pos(sf_dir)
-    s_ = IndexSearcher(idx)
-    rows: list[tuple] = []
-    want = [BA_A, BA_B, BA_BEFORE_REF, BA_AFTER_REF]
-    for reader in s_.readers:
-        posts = reader.positions_for(want)
-        if posts[BA_A] is None or posts[BA_B] is None:
+    r, common, runs = _candidate_runs(
+        sf_dir, [BA_A, BA_B], [BA_BEFORE_REF, BA_AFTER_REF]
+    )
+    out_d, out_b, out_a = [], [], []
+    for i, d in enumerate(common):
+        s, e = minimal_ordered(runs[BA_A][i], runs[BA_B][i])
+        if len(s) == 0:
             continue
-        common = np.intersect1d(posts[BA_A][0], posts[BA_B][0])
-        common = reader.drop_deleted(common)
-        if len(common) == 0:
-            continue
-        runs = {}
-        for t in want:
-            if posts[t] is None:
-                runs[t] = None
-                continue
-            docs, tfs, pos = posts[t][:3]
-            starts = np.concatenate([[0], np.cumsum(tfs)[:-1]])
-            at = np.searchsorted(docs, common)
-            present = (at < len(docs)) & (
-                docs[np.minimum(at, len(docs) - 1)] == common
-            )
-            runs[t] = (starts, tfs, pos, at, present)
-
-        def _run(t, i):
-            if runs[t] is None:
-                return np.empty(0, np.int64)
-            starts, tfs, pos, at, present = runs[t]
-            if not present[i]:
-                return np.empty(0, np.int64)
-            j = at[i]
-            return np.asarray(
-                pos[starts[j]: starts[j] + tfs[j]], dtype=np.int64
-            )
-
-        out_d, out_b, out_a = [], [], []
-        for i, d in enumerate(common):
-            pa_, pb_ = _run(BA_A, i), _run(BA_B, i)
-            s, e = minimal_ordered(pa_, pb_)
-            if len(s) == 0:
-                continue
-            ref_b = _run(BA_BEFORE_REF, i)
-            ref_a = _run(BA_AFTER_REF, i)
-            n_before = int((e < ref_b.max()).sum()) if len(ref_b) else 0
-            n_after = int((s > ref_a.min()).sum()) if len(ref_a) else 0
-            if n_before or n_after:
-                out_d.append(int(d))
-                out_b.append(n_before)
-                out_a.append(n_after)
-        if out_d:
-            ids = reader.fetch_ids(np.asarray(out_d, dtype=np.int64),
-                                   s_.id_cols)
-            rows.extend(
-                (*ids[d], nb, na)
-                for d, nb, na in zip(out_d, out_b, out_a)
-            )
-    rows.sort(key=lambda r: r[:-2])
+        ref_b, ref_a = runs[BA_BEFORE_REF][i], runs[BA_AFTER_REF][i]
+        n_before = int((e < ref_b.max()).sum()) if len(ref_b) else 0
+        n_after = int((s > ref_a.min()).sum()) if len(ref_a) else 0
+        if n_before or n_after:
+            out_d.append(d)
+            out_b.append(n_before)
+            out_a.append(n_after)
+    rows = live_id_rows(r, out_d, out_b, out_a)
     return pd.DataFrame(
         {"doc_id": [r[0] for r in rows],
          "n_before": pd.array([r[1] for r in rows], dtype="int64"),

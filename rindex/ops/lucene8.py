@@ -24,7 +24,7 @@ Reference surfaces:
 
 Scale notes: frange is ONE pruned-column scan with a vectorized Arrow
 expression per batch.  Payload scoring reads ONLY the queried term's
-positional postings per segment (never the corpus) and reduces runs with
+positional postings (never the corpus) and reduces runs with
 np.add.reduceat.  The rank-feature op keeps the full match set distributed
 (score tasks per segment) and joins the feature column with a
 hash-partitioned Dataset.join — no corpus-sized broadcast.  The reversed
@@ -102,36 +102,20 @@ def q_payload_score_documents(sf_dir: str):
     index-time payload at each position p is 1/(1+p) (a position-decay
     payload assigned by the indexing chain — DelimitedPayload with a
     derived weight); the query sums payloads over the term's occurrences
-    per doc.  Reads ONLY the term's positional postings per segment;
-    per-doc run sums via ONE np.add.reduceat over the concatenated
-    position array."""
+    per doc.  Reads ONLY the term's positional postings; per-doc run
+    sums via ONE np.add.reduceat over the concatenated position array."""
     from rindex.ops.fulltext import documents_index_pos
+    from rindex.ops.util import live_id_rows
     from rindex.search import IndexSearcher
 
-    idx = documents_index_pos(sf_dir)
-    s = IndexSearcher(idx)
-    rows: list[tuple] = []
-    for reader in s.readers:
-        got = reader.positions_for([PAYLOAD_TERM])[PAYLOAD_TERM]
-        if got is None:
-            continue
+    r = IndexSearcher(documents_index_pos(sf_dir)).reader()
+    got = r.positions_for([PAYLOAD_TERM])[PAYLOAD_TERM]
+    rows = []
+    if got is not None:
         docs, tfs, pos = got[:3]
-        docs = np.asarray(docs, dtype=np.int64)
-        tfs = np.asarray(tfs, dtype=np.int64)
         payload = 1.0 / (1.0 + np.asarray(pos, dtype=np.float64))
-        starts = np.concatenate([[0], np.cumsum(tfs)[:-1]])
-        sums = np.add.reduceat(payload, starts)
-        live = reader.drop_deleted(docs)
-        if len(live) < len(docs):
-            m = np.isin(docs, live)
-            docs, sums = docs[m], sums[m]
-        if len(docs) == 0:
-            continue
-        ids = reader.fetch_ids(docs, s.id_cols)
-        rows.extend(
-            (*ids[int(d)], round(float(v), 6)) for d, v in zip(docs, sums)
-        )
-    rows.sort(key=lambda r: r[:-1])
+        sums = np.add.reduceat(payload, np.cumsum(tfs) - tfs)
+        rows = live_id_rows(r, docs, [round(float(v), 6) for v in sums])
     return pd.DataFrame(
         {"doc_id": [r[0] for r in rows],
          "payload_score": pd.array([r[1] for r in rows], dtype="float64")}
@@ -479,6 +463,39 @@ def _flat_doc_pos(posts: dict, term_list) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(ds), np.concatenate(ps)
 
 
+def _followed_by(posts: dict, first, nxt, offsets=(1,)):
+    """(doc, position) of every occurrence of a `first` term with an
+    occurrence of a `nxt` term `off` positions later, for some `off` in
+    `offsets` — the ExactPhraseMatcher / ordered spanNear check, one
+    membership probe per offset on composite doc*stride+pos keys."""
+    ad, ap = _flat_doc_pos(posts, first)
+    bd, bp = _flat_doc_pos(posts, nxt)
+    if not len(ad) or not len(bd):
+        return ad[:0], ap[:0]
+    stride = np.int64(max(int(ap.max()), int(bp.max())) + max(offsets) + 2)
+    have = bd * stride + bp
+    hit = np.zeros(len(ad), dtype=bool)
+    for off in offsets:
+        hit |= np.isin(ad * stride + ap + off, have)
+    return ad[hit], ap[hit]
+
+
+def _followed_by_counts(sf_dir: str, first, nxt, col: str, offsets=(1,)):
+    """(doc_id, `col`) over the positional documents index: per live doc,
+    how many `first`-term occurrences `_followed_by` a `nxt` term."""
+    from rindex.ops.fulltext import documents_index_pos
+    from rindex.ops.util import live_id_rows
+    from rindex.search import IndexSearcher
+
+    r = IndexSearcher(documents_index_pos(sf_dir)).reader()
+    posts = r.positions_for(list(first) + list(nxt))
+    d, _ = _followed_by(posts, first, nxt, offsets)
+    rows = live_id_rows(r, *np.unique(d, return_counts=True))
+    out = pd.DataFrame(rows, columns=["doc_id", col])
+    out[col] = out[col].astype("int64")
+    return out
+
+
 def q_multi_phrase_documents(sf_dir: str):
     """MultiPhraseQuery (`lucene/core/src/java/org/apache/lucene/search/
     MultiPhraseQuery.java`): a phrase whose first slot admits MULTIPLE
@@ -486,38 +503,10 @@ def q_multi_phrase_documents(sf_dir: str):
     QueryParser emits for multi-term synonyms at a phrase position.
 
     Engine shape: the slot's term positions UNION into one flat (doc,
-    pos) array per segment (spanOr), then ONE searchsorted against the
-    next slot's flat positions on a composite doc*stride+pos key — the
-    ExactPhraseMatcher adjacency check, fully vectorized."""
-    from rindex.ops.fulltext import documents_index_pos
-    from rindex.search import IndexSearcher
-
-    idx = documents_index_pos(sf_dir)
-    s = IndexSearcher(idx)
-    rows = []
-    for r in s.readers:
-        posts = r.positions_for(list(MPQ_ALTS) + [MPQ_NEXT])
-        ad, ap = _flat_doc_pos(posts, MPQ_ALTS)
-        bd, bp = _flat_doc_pos(posts, [MPQ_NEXT])
-        if not len(ad) or not len(bd):
-            continue
-        stride = np.int64(max(int(ap.max()), int(bp.max())) + 2)
-        want = ad * stride + (ap + 1)
-        have = np.sort(bd * stride + bp)
-        i = np.searchsorted(have, want)
-        hit = (i < len(have)) & (have[np.minimum(i, len(have) - 1)] == want)
-        if not hit.any():
-            continue
-        uniq, cnt = np.unique(ad[hit], return_counts=True)
-        uniq = r.drop_deleted(uniq)
-        surv = np.isin(ad[hit], uniq)
-        uniq2, cnt2 = np.unique(ad[hit][surv], return_counts=True)
-        ids = r.fetch_ids(uniq2, ["doc_id"])
-        for local, c in zip(uniq2, cnt2):
-            rows.append((ids[local][0], int(c)))
-    out = pd.DataFrame(rows, columns=["doc_id", "phrase_freq"])
-    out["phrase_freq"] = out["phrase_freq"].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    pos) array (spanOr), then ONE membership probe against the next
+    slot's flat positions on a composite doc*stride+pos key — the
+    ExactPhraseMatcher adjacency check, fully vectorized (`_followed_by`)."""
+    return _followed_by_counts(sf_dir, MPQ_ALTS, [MPQ_NEXT], "phrase_freq")
 
 
 QUERIES["multi_phrase_documents"] = q_multi_phrase_documents
@@ -545,12 +534,10 @@ def q_span_multiterm_wrapper_documents(sf_dir: str):
     a literal and a WRAPPED PrefixQuery with nonzero slop —
     spanNear([spark, spanOr(jo*)], slop=3, inOrder).  The contrast with
     the slop=0 ComplexPhrase op is the position WINDOW: each offset
-    1..slop+1 is one vectorized searchsorted membership probe, OR-ed —
+    1..slop+1 is one vectorized membership probe, OR-ed —
     never a per-position Python scan.  The prefix expands with the same
     distributed dictionary scan as WildcardQuery."""
-    from rindex.ops.fulltext import documents_index_pos
     from rindex.ops.multiterm import _expand_terms
-    from rindex.search import IndexSearcher
 
     def match(terms: np.ndarray) -> tuple[np.ndarray, None]:
         m = pc.starts_with(
@@ -561,35 +548,9 @@ def q_span_multiterm_wrapper_documents(sf_dir: str):
     exp = sorted(_expand_terms(sf_dir, match, "span_multiterm")["term"])
     if not exp:
         return pd.DataFrame({"doc_id": [], "n_matches": []})
-    idx = documents_index_pos(sf_dir)
-    s = IndexSearcher(idx)
-    rows = []
-    for r in s.readers:
-        posts = r.positions_for([SMTQ_FIRST] + exp)
-        ad, ap = _flat_doc_pos(posts, [SMTQ_FIRST])
-        bd, bp = _flat_doc_pos(posts, exp)
-        if not len(ad) or not len(bd):
-            continue
-        stride = np.int64(max(int(ap.max()), int(bp.max())) + SMTQ_SLOP + 3)
-        have = np.sort(bd * stride + bp)
-        hit = np.zeros(len(ad), dtype=bool)
-        for off in range(1, SMTQ_SLOP + 2):
-            want = ad * stride + (ap + off)
-            i = np.searchsorted(have, want)
-            hit |= (i < len(have)) & (
-                have[np.minimum(i, len(have) - 1)] == want
-            )
-        if not hit.any():
-            continue
-        uniq = r.drop_deleted(np.unique(ad[hit]))
-        surv = np.isin(ad[hit], uniq)
-        uniq2, cnt2 = np.unique(ad[hit][surv], return_counts=True)
-        ids = r.fetch_ids(uniq2, ["doc_id"])
-        for local, c in zip(uniq2, cnt2):
-            rows.append((ids[local][0], int(c)))
-    out = pd.DataFrame(rows, columns=["doc_id", "n_matches"])
-    out["n_matches"] = out["n_matches"].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    return _followed_by_counts(
+        sf_dir, [SMTQ_FIRST], exp, "n_matches", range(1, SMTQ_SLOP + 2)
+    )
 
 
 QUERIES["span_multiterm_wrapper_documents"] = q_span_multiterm_wrapper_documents
@@ -736,12 +697,10 @@ def q_phrase_wildcard_documents(sf_dir: str):
     sandbox class that expands each multi-term slot against the segment
     dictionary and matches like a MultiPhraseQuery.  Contrast with the
     slop-window SpanMultiTermQueryWrapper op above: here adjacency is a
-    single offset, so ONE composite searchsorted per segment decides the
-    match.  The prefix expands with the same distributed dictionary scan
-    as WildcardQuery; output is (doc_id, phrase_freq)."""
-    from rindex.ops.fulltext import documents_index_pos
+    single offset, so ONE composite-key probe decides the match.  The
+    prefix expands with the same distributed dictionary scan as
+    WildcardQuery; output is (doc_id, phrase_freq)."""
     from rindex.ops.multiterm import _expand_terms
-    from rindex.search import IndexSearcher
 
     def match(terms: np.ndarray) -> tuple[np.ndarray, None]:
         m = pc.starts_with(
@@ -752,31 +711,7 @@ def q_phrase_wildcard_documents(sf_dir: str):
     exp = sorted(_expand_terms(sf_dir, match, "phrase_wildcard")["term"])
     if not exp:
         return pd.DataFrame({"doc_id": [], "phrase_freq": []})
-    idx = documents_index_pos(sf_dir)
-    s = IndexSearcher(idx)
-    rows = []
-    for r in s.readers:
-        posts = r.positions_for(exp + [PWQ_NEXT])
-        ad, ap = _flat_doc_pos(posts, exp)
-        bd, bp = _flat_doc_pos(posts, [PWQ_NEXT])
-        if not len(ad) or not len(bd):
-            continue
-        stride = np.int64(max(int(ap.max()), int(bp.max())) + 2)
-        want = ad * stride + (ap + 1)
-        have = np.sort(bd * stride + bp)
-        i = np.searchsorted(have, want)
-        hit = (i < len(have)) & (have[np.minimum(i, len(have) - 1)] == want)
-        if not hit.any():
-            continue
-        uniq = r.drop_deleted(np.unique(ad[hit]))
-        surv = np.isin(ad[hit], uniq)
-        uniq2, cnt2 = np.unique(ad[hit][surv], return_counts=True)
-        ids = r.fetch_ids(uniq2, ["doc_id"])
-        for local, c in zip(uniq2, cnt2):
-            rows.append((ids[local][0], int(c)))
-    out = pd.DataFrame(rows, columns=["doc_id", "phrase_freq"])
-    out["phrase_freq"] = out["phrase_freq"].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    return _followed_by_counts(sf_dir, exp, [PWQ_NEXT], "phrase_freq")
 
 
 QUERIES["phrase_wildcard_documents"] = q_phrase_wildcard_documents
@@ -814,43 +749,31 @@ def q_covering_query_lang_documents(sf_dir: str):
     "longer/common-language docs need more evidence" shape).  Unlike
     BooleanQuery#setMinimumNumberShouldMatch the threshold varies by doc.
 
-    Engine shape: per segment, ONE postings probe for the clause terms
-    (never the corpus); presence arrays concatenate into a bincount of
-    distinct matching clauses per doc; the per-doc threshold joins in via
-    the segment's stored-field fetch for just the candidate docs."""
-    from rindex.codec import decode_posting
+    Engine shape: ONE postings probe for the clause terms (never the
+    corpus); presence arrays concatenate into a count of distinct
+    matching clauses per doc; the per-doc threshold comes from the
+    reader's stored-field filter (`docs_matching("lang", "en")`)."""
     from rindex.ops.fulltext import documents_index
+    from rindex.ops.util import live_id_rows
     from rindex.search import IndexSearcher
 
-    idx = documents_index(sf_dir)
-    s = IndexSearcher(idx)
-    rows = []
-    for r in s.readers:
-        posts = r.postings_for(list(CQ_TERMS))
-        present = []
-        for t in CQ_TERMS:
-            row = posts.get(t)
-            if row is None:
-                continue
-            d, _, _ = decode_posting(row)
-            present.append(np.unique(d.astype(np.int64)))
-        if not present:
-            continue
-        alldocs = np.concatenate(present)
-        docs, n_match = np.unique(alldocs, return_counts=True)
-        docs2 = r.drop_deleted(docs)
-        keep = np.isin(docs, docs2)
-        docs, n_match = docs[keep], n_match[keep]
-        ids = r.fetch_ids(docs, ["doc_id", "lang"])
-        for local, c in zip(docs, n_match):
-            doc_id, lang = ids[int(local)]
-            need = CQ_MIN_EN if lang == "en" else CQ_MIN_OTHER
-            if int(c) >= need:
-                rows.append((doc_id, int(c), need))
+    r = IndexSearcher(documents_index(sf_dir)).reader()
+    posts = r.postings_for(list(CQ_TERMS))
+    present = [
+        np.unique(r.decoded(t, posts[t])[0])
+        for t in CQ_TERMS if posts[t] is not None
+    ]
+    docs, n_match = np.unique(
+        np.concatenate([np.zeros(0, np.int64), *present]), return_counts=True
+    )
+    need = np.where(np.isin(docs, r.docs_matching("lang", "en")),
+                    CQ_MIN_EN, CQ_MIN_OTHER)
+    keep = n_match >= need
+    rows = live_id_rows(r, docs[keep], n_match[keep], need[keep])
     out = pd.DataFrame(rows, columns=["doc_id", "n_matched", "min_required"])
     for c in ("n_matched", "min_required"):
         out[c] = out[c].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    return out
 
 
 QUERIES["covering_query_lang_documents"] = q_covering_query_lang_documents
@@ -889,46 +812,18 @@ def q_payload_check_documents(sf_dir: str):
     position passes the check — here the index-time position-decay
     payload 1/(1+p) (the payload_score convention) must be
     >= {PC_MIN_PAYLOAD}, i.e. the span must start early in the doc.
-    Per-segment vectorized kernel: both terms' positional postings only,
-    (doc, pos) pairs packed into int64 keys, one np.isin for the
-    adjacency test, payload gate applied on the first-term positions;
+    Vectorized kernel: both terms' positional postings only, (doc, pos)
+    pairs packed into int64 keys, one np.isin for the adjacency test
+    (`_followed_by`), payload gate applied on the first-term positions;
     counts per doc via np.unique."""
     from rindex.ops.fulltext import documents_index_pos
+    from rindex.ops.util import live_id_rows
     from rindex.search import IndexSearcher
 
-    idx = documents_index_pos(sf_dir)
-    s = IndexSearcher(idx)
-    rows: list[tuple] = []
-    for reader in s.readers:
-        got = reader.positions_for([PC_A, PC_B])
-        if got[PC_A] is None or got[PC_B] is None:
-            continue
-        docs_h, tfs_h, pos_h = (
-            np.asarray(a) for a in got[PC_A][:3]
-        )
-        docs_j, tfs_j, pos_j = (
-            np.asarray(a) for a in got[PC_B][:3]
-        )
-        rep_h = np.repeat(docs_h.astype(np.int64), tfs_h)
-        rep_j = np.repeat(docs_j.astype(np.int64), tfs_j)
-        key_h = rep_h * (1 << 32) + pos_h.astype(np.int64)
-        key_j = rep_j * (1 << 32) + pos_j.astype(np.int64)
-        adjacent = np.isin(key_h + 1, key_j)
-        payload = 1.0 / (1.0 + pos_h.astype(np.float64))
-        sel = adjacent & (payload >= PC_MIN_PAYLOAD)
-        if not sel.any():
-            continue
-        d_sel = rep_h[sel]
-        live = reader.drop_deleted(np.unique(d_sel))
-        d_sel = d_sel[np.isin(d_sel, live)]
-        if not len(d_sel):
-            continue
-        u, c = np.unique(d_sel, return_counts=True)
-        ids = reader.fetch_ids(u, s.id_cols)
-        rows.extend(
-            (*ids[int(d)], int(n)) for d, n in zip(u, c)
-        )
-    rows.sort(key=lambda r: r[:-1])
+    r = IndexSearcher(documents_index_pos(sf_dir)).reader()
+    d, p = _followed_by(r.positions_for([PC_A, PC_B]), [PC_A], [PC_B])
+    early = 1.0 / (1.0 + p.astype(np.float64)) >= PC_MIN_PAYLOAD
+    rows = live_id_rows(r, *np.unique(d[early], return_counts=True))
     return pd.DataFrame(
         {
             "doc_id": [r[0] for r in rows],

@@ -523,15 +523,14 @@ def q_complex_phrase_documents(sf_dir: str):
 
     Engine shape: the wildcard expands with the SAME distributed
     dictionary scan as WildcardQuery (term+df columns only), then one
-    positional pass per segment: flat (doc, pos) arrays for the literal
-    term and for the union of expansions, matched with a single
-    searchsorted on the composite doc*stride+pos key — per-doc match
+    positional pass: flat (doc, pos) arrays for the literal term and for
+    the union of expansions, matched with a single membership probe on
+    the composite doc*stride+pos key (`_followed_by`) — per-doc match
     counts are the complex-phrase frequency.  No per-row Python; the
     expansion set rides each positional task as a tiny in-task set."""
     import pyarrow.compute as pc
 
-    from rindex.ops.fulltext import documents_index_pos
-    from rindex.search import IndexSearcher
+    from rindex.ops.lucene8 import _followed_by_counts
 
     def match(terms: np.ndarray) -> tuple[np.ndarray, None]:
         m = pc.starts_with(
@@ -542,44 +541,7 @@ def q_complex_phrase_documents(sf_dir: str):
     exp = sorted(_expand_terms(sf_dir, match, "complex_phrase")["term"])
     if not exp:
         return pd.DataFrame({"doc_id": [], "phrase_freq": []})
-    idx = documents_index_pos(sf_dir)
-    s = IndexSearcher(idx)
-    rows = []
-    for r in s.readers:
-        posts = r.positions_for([CPX_FIRST] + exp)
-
-        def flat(term_list):
-            ds, ps = [], []
-            for t in term_list:
-                row = posts.get(t)
-                if row is None:
-                    continue
-                docs, tfs, pos, _ = row
-                ds.append(np.repeat(docs.astype(np.int64), tfs))
-                ps.append(pos.astype(np.int64))
-            if not ds:
-                return np.empty(0, np.int64), np.empty(0, np.int64)
-            return np.concatenate(ds), np.concatenate(ps)
-
-        ad, ap = flat([CPX_FIRST])
-        bd, bp = flat(exp)
-        if not len(ad) or not len(bd):
-            continue
-        stride = np.int64(max(int(ap.max()), int(bp.max())) + 2)
-        want = ad * stride + (ap + 1)  # (doc, pos+1) must be an expansion
-        have = np.sort(bd * stride + bp)
-        i = np.searchsorted(have, want)
-        hit = (i < len(have)) & (have[np.minimum(i, len(have) - 1)] == want)
-        if not hit.any():
-            continue
-        docs_hit = ad[hit]
-        uniq, cnt = np.unique(docs_hit, return_counts=True)
-        ids = r.fetch_ids(uniq, ["doc_id"])
-        for local, c in zip(uniq, cnt):
-            rows.append((ids[local][0], int(c)))
-    out = pd.DataFrame(rows, columns=["doc_id", "phrase_freq"])
-    out["phrase_freq"] = out["phrase_freq"].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    return _followed_by_counts(sf_dir, [CPX_FIRST], exp, "phrase_freq")
 
 
 QUERIES["complex_phrase_documents"] = q_complex_phrase_documents

@@ -1848,12 +1848,13 @@ def q_phrases_identify_documents(sf_dir: str):
     often the words co-occur adjacently relative to the rarest word's
     total occurrences.
 
-    Engine: per positional segment, each candidate phrase is a chain of
-    searchsorted adjacency intersections over the SAME flat composite
-    (doc*stride+pos) key arrays the span family uses — O(candidates x
-    postings of the query's 4 terms) per segment, never a corpus scan.
-    Term ttfs come from the postings metadata (tf sums)."""
+    Engine: each candidate phrase is a chain of adjacency intersections
+    over the SAME flat composite (doc*stride+pos) key arrays the span
+    family uses (`_flat_doc_pos`) — O(candidates x postings of the
+    query's 4 terms), never a corpus scan.  Term ttfs are the terms'
+    position counts (tf sums)."""
     from rindex.ops.fulltext import documents_index_pos
+    from rindex.ops.lucene8 import _flat_doc_pos
     from rindex.search import IndexSearcher
 
     words = PHRASES_QUERY.split()
@@ -1862,43 +1863,23 @@ def q_phrases_identify_documents(sf_dir: str):
         for n in range(2, PHRASES_MAX_LEN + 1)
         for i in range(len(words) - n + 1)
     ]
-    idx = documents_index_pos(sf_dir)
-    s = IndexSearcher(idx)
-    term_ttf = {w: 0 for w in words}
-    phrase_ttf = {c: 0 for c in cands}
-    for r in s.readers:
-        posts = r.positions_for(words)
-        keys = {}
-        stride = 1
-        for w in words:
-            row = posts.get(w)
-            if row is None:
-                keys[w] = np.empty(0, np.int64)
-                continue
-            docs, tfs, pos, _ = row
-            term_ttf[w] += int(tfs.sum())
-            stride = max(stride, int(pos.max()) + 2 if len(pos) else 1)
-            keys[w] = (docs, tfs, pos)
-        for w in words:
-            v = keys[w]
-            if isinstance(v, tuple):
-                docs, tfs, pos = v
-                keys[w] = np.sort(
-                    np.repeat(docs.astype(np.int64), tfs) * stride
-                    + pos.astype(np.int64)
-                )
-        for c in cands:
-            cur = keys[c[0]]
-            for w in c[1:]:
-                if not len(cur):
-                    break
-                cur = np.intersect1d(cur + 1, keys[w])
-            phrase_ttf[c] += int(len(cur))
+    r = IndexSearcher(documents_index_pos(sf_dir)).reader()
+    posts = r.positions_for(words)
+    flat = {w: _flat_doc_pos(posts, [w]) for w in words}
+    term_ttf = {w: len(p) for w, (_, p) in flat.items()}
+    stride = max((int(p.max()) + 2 for _, p in flat.values() if len(p)),
+                 default=1)
+    keys = {w: np.sort(d * stride + p) for w, (d, p) in flat.items()}
     rows = []
     for c in cands:
+        cur = keys[c[0]]
+        for w in c[1:]:
+            if not len(cur):
+                break
+            cur = np.intersect1d(cur + 1, keys[w])
         denom = min(term_ttf[w] for w in c)
-        score = round(phrase_ttf[c] / denom, 6) if denom else 0.0
-        rows.append((" ".join(c), phrase_ttf[c], score))
+        score = round(len(cur) / denom, 6) if denom else 0.0
+        rows.append((" ".join(c), len(cur), score))
     out = pd.DataFrame(rows, columns=["phrase", "phrase_ttf", "score"])
     out["phrase_ttf"] = out["phrase_ttf"].astype("int64")
     return out.sort_values(

@@ -9,12 +9,12 @@ text_tagger_documents in ops/search_ext.py is the no-overlap-policy
 regex tagger; this one resolves dominated unigrams) — a longer tag starting at a
 position dominates shorter tags inside its span.
 
-Engine shape: the dictionary terms' POSITIONAL postings are probed per
-segment (`positions_for` — never a corpus scan); multi-word entries
-match by the same composite doc*stride+pos searchsorted adjacency kernel
-the phrase family uses; dominated unigram occurrences are suppressed with
-one np.isin against the covered-position key set.  All per-segment, all
-vectorized — the tagger is a postings consumer exactly like the
+Engine shape: the dictionary terms' POSITIONAL postings are probed once
+on the index's one reader (`positions_for` — never a corpus scan);
+multi-word entries match by the same composite doc*stride+pos adjacency
+kernel the phrase family uses (`_followed_by`); dominated unigram
+occurrences are suppressed with one np.isin against the covered-position
+key set.  All vectorized — the tagger is a postings consumer exactly like the
 reference (which runs the dictionary FST over the analyzed token
 stream).
 """
@@ -47,67 +47,42 @@ def q_text_tagger_overlaps_documents(sf_dir: str):
     after LONGEST_DOMINANT_RIGHT suppression — 'join' occurrences consumed
     by a 'hash join' / 'merge join' bigram are not reported as JOIN."""
     from rindex.ops.fulltext import documents_index_pos
-    from rindex.ops.lucene8 import _flat_doc_pos
+    from rindex.ops.lucene8 import _flat_doc_pos, _followed_by
+    from rindex.ops.util import live_id_rows
     from rindex.search import IndexSearcher
 
     terms = sorted({t for seq in TAG_DICT.values() for t in seq})
-    idx = documents_index_pos(sf_dir)
-    s = IndexSearcher(idx)
-    rows = []
-    for r in s.readers:
-        posts = r.positions_for(terms)
-        fd = {t: _flat_doc_pos(posts, [t]) for t in terms}
-        maxp = max((int(p.max()) for _, p in fd.values() if len(p)),
-                   default=0)
-        stride = np.int64(maxp + 2)
-        keyset = {t: np.sort(_keys(d, p, stride)) for t, (d, p) in fd.items()}
+    r = IndexSearcher(documents_index_pos(sf_dir)).reader()
+    posts = r.positions_for(terms)
+    fd = {t: _flat_doc_pos(posts, [t]) for t in terms}
+    maxp = max((int(p.max()) for _, p in fd.values() if len(p)), default=0)
+    stride = np.int64(maxp + 2)
+    per_tag: dict[str, np.ndarray] = {}  # tag -> doc of each occurrence
+    covered = [np.empty(0, np.int64)]  # composite keys of multi-word tags
+    for tag, seq in TAG_DICT.items():
+        if len(seq) == 2:
+            d, p = _followed_by(posts, seq[:1], seq[1:])
+            per_tag[tag] = d
+            covered += [_keys(d, p, stride), _keys(d, p + 1, stride)]
+    covered_keys = np.concatenate(covered)
+    for tag, seq in TAG_DICT.items():
+        if len(seq) == 1:
+            d, p = fd[seq[0]]
+            per_tag[tag] = d[~np.isin(_keys(d, p, stride), covered_keys)]
 
-        def _adj(first: str, second: str):
-            """(doc, pos) of `first` where `second` sits at pos+1."""
-            d, p = fd[first]
-            if not len(d) or not len(keyset[second]):
-                return np.empty(0, np.int64), np.empty(0, np.int64)
-            want = _keys(d, p + 1, stride)
-            have = keyset[second]
-            i = np.searchsorted(have, want)
-            hit = (i < len(have)) & (
-                have[np.minimum(i, len(have) - 1)] == want
-            )
-            return d[hit], p[hit]
-
-        per_tag: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        covered = []  # composite keys consumed by multi-word tags
-        for tag, seq in TAG_DICT.items():
-            if len(seq) == 2:
-                d, p = _adj(seq[0], seq[1])
-                per_tag[tag] = (d, p)
-                covered.append(_keys(d, p, stride))
-                covered.append(_keys(d, p + 1, stride))
-        covered_keys = (
-            np.sort(np.concatenate(covered))
-            if covered else np.empty(0, np.int64)
-        )
-        for tag, seq in TAG_DICT.items():
-            if len(seq) == 1:
-                d, p = fd[seq[0]]
-                if len(d) and len(covered_keys):
-                    free = ~np.isin(_keys(d, p, stride), covered_keys)
-                    d, p = d[free], p[free]
-                per_tag[tag] = (d, p)
-
-        for tag, (d, _) in per_tag.items():
-            if not len(d):
-                continue
-            docs, cnt = np.unique(d, return_counts=True)
-            docs2 = r.drop_deleted(docs)
-            keep = np.isin(docs, docs2)
-            docs, cnt = docs[keep], cnt[keep]
-            ids = r.fetch_ids(docs, ["doc_id"])
-            for local, c in zip(docs, cnt):
-                rows.append((ids[int(local)][0], tag, int(c)))
-    out = pd.DataFrame(rows, columns=["doc_id", "tag", "n"])
+    # one (doc, tag) key space, tags in name order: counts come out sorted
+    # by (doc_id, tag) and the ids are fetched once
+    tags = sorted(per_tag)
+    key, n = np.unique(
+        np.concatenate([per_tag[t] * len(tags) + i for i, t in enumerate(tags)]),
+        return_counts=True,
+    )
+    rows = live_id_rows(r, key // len(tags), key % len(tags), n)
+    out = pd.DataFrame(
+        [(d, tags[t], c) for d, t, c in rows], columns=["doc_id", "tag", "n"]
+    )
     out["n"] = out["n"].astype("int64")
-    return out.sort_values(["doc_id", "tag"]).reset_index(drop=True)
+    return out
 
 
 QUERIES["text_tagger_overlaps_documents"] = q_text_tagger_overlaps_documents

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import threading
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
@@ -121,3 +122,16 @@ def dictionary_stats(index_dir: str, columns: list[str]) -> pd.DataFrame:
     if not columns:
         return df.drop_duplicates("term").reset_index(drop=True)
     return df.groupby("term", as_index=False)[columns].sum()
+
+
+def live_id_rows(reader, docs, *values) -> list[tuple]:
+    """[(doc_id, *values)] for the live docs of `docs` — one reader's
+    ascending docIDs, each with its aligned `values` — ids fetched once;
+    a reader's docID order is its id order, so the rows come sorted by
+    doc_id (`rindex.search._rows_by_id`)."""
+    from rindex.search import _rows_by_id
+
+    docs = np.asarray(docs, dtype=np.int64)
+    live = np.isin(docs, reader.drop_deleted(docs))
+    vals = list(zip(*(np.asarray(v)[live] for v in values)))
+    return [(i, *v) for i, v in _rows_by_id(reader, ["doc_id"], docs[live], vals)]

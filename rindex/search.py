@@ -1170,8 +1170,10 @@ class IndexSearcher:
         """The one reader every entry point scores: the lone segment of a
         1-segment index as is, else every live segment fused into one doc
         space (an index with no segments fuses to an empty one).  Only
-        `score_matches_dataset`, which runs a Ray task per segment, and the
-        `ops/` modules read `self.readers`."""
+        code whose output is per segment by design reads `self.readers`:
+        `score_matches_dataset`, which runs a Ray task per segment, and
+        the ops `cms.build_segment_blooms`, `q_bloom_segment_skip_documents`
+        and `q_realtime_get_documents`."""
         if len(self.readers) == 1:
             return self.readers[0]
         if self._fused is None:

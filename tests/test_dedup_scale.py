@@ -195,3 +195,37 @@ def test_distributed_cluster_nonconvergence_is_loud(
         dd._cluster_labels_driver(
             pairs["doc_a"].to_numpy(), pairs["doc_b"].to_numpy()
         )
+
+
+@pytest.mark.parametrize("corpus", ["distinct", "short"])
+def test_no_surviving_pair_is_an_empty_frame(
+    ray_session, tmp_path, monkeypatch, corpus
+):
+    """No pair passes tau (30 distinct texts) or no doc has a shingle (4
+    docs under 3 tokens): the n-gram, cluster and conversation near-dup
+    ops return their empty typed frames on the broadcast AND the join
+    path instead of raising."""
+    import rindex.ops.dedup as dd
+    from rindex.ops.transcripts import q_conv_near_dedup_documents
+
+    if corpus == "distinct":
+        texts = [" ".join(f"w{i}x{j}" for j in range(12)) for i in range(30)]
+    else:
+        texts = ["alpha", "alpha beta", "", "gamma delta"]
+    d = tmp_path / corpus
+    os.makedirs(d)
+    pq.write_table(
+        pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                  "text": pa.array(texts)}),
+        str(d / "documents.parquet"),
+    )
+    pair_types = {"doc_a": "int64", "doc_b": "int64", "jaccard": "float64"}
+    for bcast_max in (dd.DEDUP_BCAST_MAX_DOCS, 0):
+        monkeypatch.setattr(dd, "DEDUP_BCAST_MAX_DOCS", bcast_max)
+        pairs = dd.q_ngram_jaccard_neardup(str(d))
+        assert len(pairs) == 0
+        assert pairs.dtypes.astype(str).to_dict() == pair_types
+        assert len(dd.q_dedup_clusters_documents(str(d))) == 0
+        conv = q_conv_near_dedup_documents(str(d))
+        assert len(conv) == 0
+        assert list(conv.columns) == ["conv_a", "conv_b", "jaccard"]

@@ -80,6 +80,7 @@ def test_batch17_evaluator_kernels():
     assert EVALUATORS["ones"](2).tolist() == [1, 1]
     assert EVALUATORS["copyOf"]([1, 2, 3], 2).tolist() == [1, 2]
     assert EVALUATORS["copyOf"]([1, 2, 3]).tolist() == [1, 2, 3]
+    assert EVALUATORS["copyOf"]([1, 2], 4).tolist() == [1, 2, 0, 0]
     assert EVALUATORS["copyOfRange"]([1, 2, 3, 4], 1, 3).tolist() == [2, 3]
     assert EVALUATORS["addAll"]([1], [2, 3]).tolist() == [1, 2, 3]
     assert EVALUATORS["factorial"](6) == 720.0
