@@ -52,13 +52,15 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from rindex.analysis import get_analyzer
-from rindex.codec import encode_norms, encode_posting
+from rindex.codec import encode_norms
 from rindex.schema import (
     BLOCK_SIZE, DEFAULT_NUM_SEGMENTS, POSITION_INCREMENT_GAP, SALT_RANGE,
 )
 from rindex import segments as segio
 
 TERMS_PER_ROW_GROUP = 1024  # postings.parquet row-group size -> term pruning
+TERM_BUCKETS = 32  # term-shuffle reduce groups per segment (`_add_bucket`)
+TOKENIZE_BATCH_ROWS = 1024  # docs per tokenize task batch
 
 
 def hash_partition(values, num_segments: int) -> np.ndarray:
@@ -437,24 +439,20 @@ def _pack_acc(
     return pa.table(cols)
 
 
-def _add_bucket(num_buckets: int):
+def _add_bucket(batch: pa.Table) -> pa.Table:
     """Term-shuffle mode: the explicit groupby(term) shuffle key is
-    (seg, bucket) with bucket = crc32(term) % num_buckets — a COARSE term
-    partition, so one reduce group holds ~1/num_buckets of a segment's
+    (seg, bucket) with bucket = crc32(term) % TERM_BUCKETS — a COARSE term
+    partition, so one reduce group holds ~1/TERM_BUCKETS of a segment's
     postings and the per-group merge is one vectorized kernel call instead
     of per-term Python (the map_groups-per-term shape costs ~1 ms/group in
     scheduler+slicing overhead, which at Zipf vocab sizes dominates the
     whole build)."""
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = np.fromiter(
-            (zlib.crc32(t.encode()) % num_buckets for t in batch["term"].to_pylist()),
-            dtype=np.int32,
-            count=len(batch),
-        )
-        return batch.append_column("bucket", pa.array(b, pa.int32()))
-
-    return add_bucket
+    b = np.fromiter(
+        (zlib.crc32(t.encode()) % TERM_BUCKETS for t in batch["term"].to_pylist()),
+        dtype=np.int32,
+        count=len(batch),
+    )
+    return batch.append_column("bucket", pa.array(b, pa.int32()))
 
 
 def _merge_bucket(group: pd.DataFrame) -> pa.Table:
@@ -738,11 +736,8 @@ def build_index(
     text_col: str = "text",
     keep_cols: tuple[str, ...] = ("role", "tool", "ts"),
     salt_range: int = SALT_RANGE,
-    num_buckets: int = 32,
     resume: bool = True,
     input_files: list[str] | None = None,
-    tokenize_batch_size: int = 1024,
-    writer_concurrency: int | None = None,
     generation: int = 0,
     with_positions: bool = False,
 ) -> dict:
@@ -814,12 +809,11 @@ def build_index(
         import ray
 
         ncpu = int(ray.cluster_resources().get("CPU", 4))
-        if writer_concurrency is None:
-            # The writer is IO-bound (term_shuffle mode: encode already
-            # happened in the bucket reduce) — a small actor pool; a large
-            # one reserves CPUs away from the tokenize/shuffle stages for
-            # the whole pipeline lifetime and starves them (measured: 2x).
-            writer_concurrency = max(2, min(num_segments, ncpu // 8))
+        # The writer is IO-bound (term_shuffle mode: encode already
+        # happened in the bucket reduce) — a small actor pool; a large
+        # one reserves CPUs away from the tokenize/shuffle stages for
+        # the whole pipeline lifetime and starves them (measured: 2x).
+        writer_concurrency = max(2, min(num_segments, ncpu // 8))
         # the pool holds its CPUs for the whole pipeline: leave the upstream
         # tasks at least one whole CPU, or on a 1-2 CPU session they never
         # schedule and the build never returns (1 CPU per writer from 3 CPUs
@@ -845,7 +839,7 @@ def build_index(
             partials = ds.map_batches(
                 tok_fn,
                 batch_format="pyarrow",
-                batch_size=tokenize_batch_size,
+                batch_size=TOKENIZE_BATCH_ROWS,
                 zero_copy_batch=True,
             )
             written = partials.groupby("seg").map_groups(
@@ -866,10 +860,10 @@ def build_index(
             partials = ds.map_batches(
                 tok_fn,
                 batch_format="pyarrow",
-                batch_size=tokenize_batch_size,
+                batch_size=TOKENIZE_BATCH_ROWS,
                 zero_copy_batch=True,
             ).map_batches(
-                _add_bucket(num_buckets),
+                _add_bucket,
                 batch_format="pyarrow",
                 zero_copy_batch=True,
             )

@@ -49,14 +49,18 @@ TOP_TERMS = 20
 TOP_BIGRAMS = 15
 
 
-def _count_partial(counter_fn):
-    """map_batches fn: per-batch Counter -> (term, cnt) partial rows."""
+def _count_partial(tokens):
+    """map_batches fn: one batch's lowercased texts (null -> '') ->
+    `tokens(texts)`, an iterable of the batch's terms -> per-batch Counter
+    -> (term, cnt) partial rows."""
 
     def f(t: pa.Table) -> pa.Table:
+        from collections import Counter
+
         import pyarrow.compute as pc
 
-        texts = pc.utf8_lower(t["text"]).to_pylist()
-        c = counter_fn(texts)
+        texts = pc.utf8_lower(pc.fill_null(t["text"], "")).to_pylist()
+        c = Counter(tokens(texts))
         if not c:
             return pa.table(
                 {"term": pa.array([], pa.string()),
@@ -75,24 +79,31 @@ def _sum_sort_limit(ds, n: int):
     return out.sort(["cnt", "term"], descending=[True, False]).limit(n)
 
 
+def _topterms(sf_dir: str, tokens, n: int = TOP_TERMS):
+    """The top-terms shape: `tokens(texts)` yields the terms of one batch
+    of lowercased documents texts; per-batch (term, cnt) partials, one
+    combine, top `n` by (cnt desc, term asc)."""
+    ds = read_table(sf_dir, "documents", ["text"])
+    return _sum_sort_limit(ds.map_batches(
+        _count_partial(tokens), batch_format="pyarrow", zero_copy_batch=True
+    ), n)
+
+
+def _each(tokenize):
+    """`_topterms` tokens fn applying `tokenize(text) -> list` per text."""
+    from itertools import chain
+
+    return lambda texts: chain.from_iterable(map(tokenize, texts))
+
+
 def q_stopword_topterms_documents(sf_dir: str):
     """StopFilter: top terms by collection frequency AFTER stopword removal.
     Tokenize + filter + partial-count in one vectorized map_batches; the
     shuffle moves only (term, cnt) partials."""
-    from collections import Counter
-
-    ds = read_table(sf_dir, "documents", ["text"])
     sw = frozenset(STOPWORDS)
-
-    def count(texts):
-        c = Counter()
-        for x in texts:
-            c.update(tk for tk in _TOKEN_RE.findall(x or "") if tk not in sw)
-        return c
-
-    return _sum_sort_limit(ds.map_batches(
-        _count_partial(count), batch_format="pyarrow", zero_copy_batch=True
-    ), TOP_TERMS)
+    return _topterms(sf_dir, lambda texts: (
+        tk for x in texts for tk in _TOKEN_RE.findall(x) if tk not in sw
+    ))
 
 
 QUERIES["stopword_topterms_documents"] = q_stopword_topterms_documents
@@ -160,22 +171,15 @@ ORACLE["synonym_canonical_documents"] = f"""
 def q_shingle_bigrams_documents(sf_dir: str):
     """ShingleFilter (token bigrams): top word-pair counts; partial Counter
     per batch -> (bigram, cnt) groupby sum."""
-    from collections import Counter
 
-    ds = read_table(sf_dir, "documents", ["text"])
-
-    def count(texts):
-        c = Counter()
+    def bigrams(texts):
         for x in texts:
-            toks = _TOKEN_RE.findall(x or "")
-            c.update(
+            toks = _TOKEN_RE.findall(x)
+            yield from (
                 f"{toks[i]} {toks[i + 1]}" for i in range(len(toks) - 1)
             )
-        return c
 
-    return _sum_sort_limit(ds.map_batches(
-        _count_partial(count), batch_format="pyarrow", zero_copy_batch=True
-    ), TOP_BIGRAMS)
+    return _topterms(sf_dir, bigrams, TOP_BIGRAMS)
 
 
 QUERIES["shingle_bigrams_documents"] = q_shingle_bigrams_documents
@@ -195,15 +199,11 @@ def q_edge_ngram_terms_documents(sf_dir: str):
     expands to its 2..5-char prefixes (the autocomplete-index shape).
     Vocab is derived distributively (partial term sets per batch ->
     groupby-distinct), then the expansion is a flat map."""
-    from collections import Counter
-
     ds = read_table(sf_dir, "documents", ["text"])
 
     def terms(texts):
         # partial distinct per batch (cnt unused downstream; 1 per term)
-        return Counter(set().union(
-            *(set(_TOKEN_RE.findall(x or "")) for x in texts)
-        )) if texts else Counter()
+        return set().union(*(set(_TOKEN_RE.findall(x)) for x in texts))
 
     vocab = (
         ds.map_batches(
@@ -822,22 +822,12 @@ MAPPING_RULES = {"hash join": "hjoin", "hash": "hmap"}
 def q_mapping_charfilter_topterms_documents(sf_dir: str):
     """MappingCharFilter: top terms after longest-match-first literal
     rewrites of the char stream."""
-    from collections import Counter
-
     from rindex.analysis import make_mapping_char_filter, standard_tokenize
 
-    ds = read_table(sf_dir, "documents", ["text"])
     mcf = make_mapping_char_filter(MAPPING_RULES)
-
-    def count(texts):
-        c = Counter()
-        for x in texts:
-            c.update(standard_tokenize(mcf((x or "").lower())))
-        return c
-
-    return _sum_sort_limit(ds.map_batches(
-        _count_partial(count), batch_format="pyarrow", zero_copy_batch=True
-    ), TOP_TERMS)
+    return _topterms(
+        sf_dir, _each(lambda x: standard_tokenize(mcf(x.lower())))
+    )
 
 
 QUERIES["mapping_charfilter_topterms_documents"] = (
@@ -860,22 +850,11 @@ CHAR_NGRAM_N = 3
 def q_char_ngram_topterms_documents(sf_dir: str):
     """Char NGramTokenizer: top character 3-grams (grams within each
     alphanumeric run, the tokenizer's default token chars)."""
-    from collections import Counter
-
     from rindex.analysis import make_char_ngram_tokenizer
 
-    ds = read_table(sf_dir, "documents", ["text"])
-    tok = make_char_ngram_tokenizer(CHAR_NGRAM_N, CHAR_NGRAM_N)
-
-    def count(texts):
-        c = Counter()
-        for x in texts:
-            c.update(tok(x or ""))
-        return c
-
-    return _sum_sort_limit(ds.map_batches(
-        _count_partial(count), batch_format="pyarrow", zero_copy_batch=True
-    ), TOP_TERMS)
+    return _topterms(
+        sf_dir, _each(make_char_ngram_tokenizer(CHAR_NGRAM_N, CHAR_NGRAM_N))
+    )
 
 
 QUERIES["char_ngram_topterms_documents"] = q_char_ngram_topterms_documents
@@ -1150,25 +1129,18 @@ def q_common_grams_documents(sf_dir: str):
     common word (joined with '_' like the reference's GRAM_TYPE tokens);
     top gram counts.  Unigrams pass through the real filter too — the op
     counts the grams, which is the part the filter ADDS."""
-    from collections import Counter
-
-    ds = read_table(sf_dir, "documents", ["text"])
     common = frozenset(_COMMON_WORDS)
 
-    def count(texts):
-        c = Counter()
+    def grams(texts):
         for x in texts:
-            toks = _TOKEN_RE.findall(x or "")
-            c.update(
+            toks = _TOKEN_RE.findall(x)
+            yield from (
                 f"{toks[i]}_{toks[i + 1]}"
                 for i in range(len(toks) - 1)
                 if toks[i] in common or toks[i + 1] in common
             )
-        return c
 
-    return _sum_sort_limit(ds.map_batches(
-        _count_partial(count), batch_format="pyarrow", zero_copy_batch=True
-    ), TOP_BIGRAMS)
+    return _topterms(sf_dir, grams, TOP_BIGRAMS)
 
 
 QUERIES["common_grams_documents"] = q_common_grams_documents
@@ -1231,24 +1203,17 @@ def _phonetic_topterms(sf_dir: str, encode):
     """Top phonetic codes over the corpus (PhoneticFilter, inject=false:
     each token replaced by `encode(token)`; a None code drops the token).
     Codes are memoized per DISTINCT token per batch, not per occurrence."""
-    from collections import Counter
 
-    ds = read_table(sf_dir, "documents", ["text"])
-
-    def count(texts):
-        c = Counter()
+    def codes(texts):
         memo: dict = {}
         for x in texts:
-            for t in _TOKEN_RE.findall(x or ""):
+            for t in _TOKEN_RE.findall(x):
                 if t not in memo:
                     memo[t] = encode(t)
                 if memo[t] is not None:
-                    c[memo[t]] += 1
-        return c
+                    yield memo[t]
 
-    return _sum_sort_limit(ds.map_batches(
-        _count_partial(count), batch_format="pyarrow", zero_copy_batch=True
-    ), TOP_TERMS)
+    return _topterms(sf_dir, codes)
 
 
 def q_soundex_topterms_documents(sf_dir: str):
@@ -1741,22 +1706,9 @@ ORACLE["ltr_rerank_documents"] = f"""
 def _analyzer_topterms(sf_dir: str, analyzer_name: str):
     """Shared shape: tokenize with a registered analyzer, partial-count
     per batch, one (term, cnt) combine, top-N."""
-    from collections import Counter
-
     from rindex.analysis import get_analyzer
 
-    ds = read_table(sf_dir, "documents", ["text"])
-    an = get_analyzer(analyzer_name)
-
-    def count(texts):
-        c = Counter()
-        for x in texts:
-            c.update(an.tokens(x or ""))
-        return c
-
-    return _sum_sort_limit(ds.map_batches(
-        _count_partial(count), batch_format="pyarrow", zero_copy_batch=True
-    ), TOP_TERMS)
+    return _topterms(sf_dir, _each(get_analyzer(analyzer_name).tokens))
 
 
 def q_possessive_topterms_documents(sf_dir: str):
@@ -2496,22 +2448,10 @@ def q_keep_word_topterms_documents(sf_dir: str):
     """KeepWordFilter over the corpus, then term counts: only the keep
     set survives, so the result is the per-keep-word occurrence counts
     (descending)."""
-    from collections import Counter
-
-    ds = read_table(sf_dir, "documents", ["text"])
     keep = frozenset(KEEP_WORDS)
-
-    def count(texts):
-        c = Counter()
-        for x in texts:
-            for t in _TOKEN_RE.findall(x or ""):
-                if t in keep:
-                    c[t] += 1
-        return c
-
-    return _sum_sort_limit(ds.map_batches(
-        _count_partial(count), batch_format="pyarrow", zero_copy_batch=True
-    ), TOP_TERMS)
+    return _topterms(sf_dir, lambda texts: (
+        t for x in texts for t in _TOKEN_RE.findall(x) if t in keep
+    ))
 
 
 QUERIES["keep_word_topterms_documents"] = q_keep_word_topterms_documents

@@ -39,7 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from rindex.schema import pool_cap
-from rindex.ops.util import read_table
+from rindex.ops.util import bucket_map_groups, read_table
 
 QUERIES: dict = {}
 ORACLE: dict = {}
@@ -48,6 +48,9 @@ _TOKEN_RE = re.compile(r"[0-9a-z]+")
 NGRAM = 3
 JACCARD_TAU = 0.5
 COSINE_TAU = 0.45
+# modulus of the coarse-bucket shuffles over hash-like keys (content
+# hashes, band keys, packed pairs): one reduce task per ~1/509 of them
+_COARSE = 509
 
 
 def _tokens(text: str) -> list[str]:
@@ -106,15 +109,11 @@ def q_dedup_exact_documents(sf_dir: str):
             hashlib.md5((x or "").encode()).hexdigest()
             for x in t["text"].to_pylist()
         ]
-        cb = np.fromiter(
-            (int(x[:4], 16) % 509 for x in h), dtype=np.int32, count=len(h)
-        )
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "h": pa.array(h),
-                "_cb": pa.array(cb),
-            }
+        return pa.table({"doc_id": t["doc_id"], "h": pa.array(h)})
+
+    def hash_key(t: pa.Table) -> np.ndarray:
+        return np.fromiter(
+            (int(x[:4], 16) for x in t["h"].to_pylist()), np.int64, len(t)
         )
 
     def first_per_hash(g: pd.DataFrame) -> pd.DataFrame:
@@ -124,10 +123,9 @@ def q_dedup_exact_documents(sf_dir: str):
         starts = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
         return pd.DataFrame({"doc_id": d[starts]})
 
-    return (
-        ds.map_batches(add_hash, batch_format="pyarrow")
-        .groupby("_cb")
-        .map_groups(first_per_hash, batch_format="pandas")
+    return bucket_map_groups(
+        ds.map_batches(add_hash, batch_format="pyarrow"),
+        hash_key, first_per_hash, _COARSE,
     )
 
 
@@ -273,7 +271,6 @@ def _run_pair_counts(
 def _pair_counts(
     bucketed,
     key: str,
-    n_coarse: int = 509,
     max_bucket: int | None = None,
     dedupe: bool = True,
 ):
@@ -295,12 +292,6 @@ def _pair_counts(
     totals flow through as pk == _DROP_SENTINEL rows (never silent — the
     caller logs them; SURVEY §7 'no silent caps')."""
 
-    def add_coarse(t: pa.Table) -> pa.Table:
-        k = t[key].to_numpy()
-        return t.append_column(
-            "_cb", pa.array((k % n_coarse).astype(np.int32))
-        )
-
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         df = g.sort_values([key, "doc_id"], kind="mergesort")
         pk, n, _va, _vb, dropped = _run_pair_counts(
@@ -312,13 +303,7 @@ def _pair_counts(
             n = np.append(n, dropped)
         return pd.DataFrame({"pk": pk, "n": n})
 
-    expanded = (
-        bucketed.map_batches(
-            add_coarse, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("_cb")
-        .map_groups(pairs, batch_format="pandas")
-    )
+    expanded = bucket_map_groups(bucketed, key, pairs, _COARSE)
     if not dedupe:
         # caller-side dedupe (candidate generation: the deduped pair set
         # is the designated small side anyway) — skips one all-to-all
@@ -326,18 +311,13 @@ def _pair_counts(
     return _sum_by_pk(expanded)
 
 
-def _sum_by_pk(pairs_ds, n_coarse: int = 509):
+def _sum_by_pk(pairs_ds):
     """Distributed SUM(n) GROUP BY pk without Ray's per-group aggregation
     path: at ~1 distinct pair per row a native groupby("pk").sum() walks
     >10^6 tiny groups in Python (~150us each — measured 178s at sf0.1);
     the coarse-bucket reduce (shuffle on pk % prime, one sort + reduceat
     per task) does the same in ~2s.  Output schema matches the native
     aggregation: (pk, sum(n))."""
-
-    def add_pb(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_pb", pa.array((t["pk"].to_numpy() % n_coarse).astype(np.int32))
-        )
 
     def reduce(g: pd.DataFrame) -> pd.DataFrame:
         pk = g["pk"].to_numpy()
@@ -354,12 +334,7 @@ def _sum_by_pk(pairs_ds, n_coarse: int = 509):
             }
         )
 
-    return (
-        pairs_ds.map_batches(add_pb, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        .groupby("_pb")
-        .map_groups(reduce, batch_format="pandas")
-    )
+    return bucket_map_groups(pairs_ds, "pk", reduce, _COARSE)
 
 
 # Above this many int64s the per-doc lookup a verify needs (shingle-set
@@ -841,16 +816,10 @@ def q_simhash_neardup(sf_dir: str):
 
     from ray.data.aggregate import Min, Sum
 
-    def add_coarse(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_cb", pa.array((t["bk"].to_numpy() % 509).astype(np.int32))
-        )
-
     agg = (
-        ds.map_batches(sigs, batch_format="pyarrow")
-        .map_batches(add_coarse, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_cb")
-        .map_groups(pairs, batch_format="pandas")
+        bucket_map_groups(
+            ds.map_batches(sigs, batch_format="pyarrow"), "bk", pairs, _COARSE
+        )
         .groupby("pk")
         .aggregate(Min("ham"), Sum("ham"))
         .to_pandas()  # verified pairs only — small by construction

@@ -400,14 +400,49 @@ def _log_pmf(dist, k):
     raise KeyError(f"not a discrete distribution: {dist[0]!r}")
 
 
+def _beta_binom_cdf(a: int, b: int, x):
+    """Beta(a,b) CDF for INTEGER shapes via the binomial closed form
+    I_x(a,b) = sum_{j=a}^{a+b-1} C(a+b-1,j) x^j (1-x)^(a+b-1-j) —
+    elementary, so the SQL oracle can mirror it term by term."""
+    import math
+
+    x = np.asarray(x, np.float64)
+    n = a + b - 1
+    out = np.zeros_like(x)
+    for j in range(a, n + 1):
+        out = out + math.comb(n, j) * np.power(x, j) * np.power(
+            1.0 - x, n - j
+        )
+    return out
+
+
+def _beta_pdf(a: int, b: int, x):
+    """Beta(a,b) density for integer shapes: B(a,b) = (a-1)!(b-1)!/(a+b-1)!"""
+    import math
+
+    x = np.asarray(x, np.float64)
+    bfun = (
+        math.factorial(a - 1) * math.factorial(b - 1)
+        / math.factorial(a + b - 1)
+    )
+    return np.power(x, a - 1) * np.power(1.0 - x, b - 1) / bfun
+
+
 def _dist_prob(dist, k):
     """ProbabilityEvaluator: PMF of a discrete distribution at k."""
+    if dist[0] == "enumerated":
+        _, vals, probs = dist
+        return float(probs[vals == float(np.asarray(k))].sum())
     return np.exp(_log_pmf(dist, k))
 
 
 def _cum_prob(dist, x):
-    """CDF of a distribution node at x (scalar or array)."""
+    """CDF of a distribution node at x (scalar or array; enumerated and
+    the discrete kinds take a scalar)."""
     kind = dist[0]
+    if kind == "enumerated":
+        _, vals, probs = dist
+        return float(probs[vals <= float(np.asarray(x))].sum())
     if kind in ("poisson", "binomial"):
         ks = np.arange(int(np.floor(float(np.asarray(x)))) + 1)
         return float(np.exp(_log_pmf(dist, ks)).sum())
@@ -425,6 +460,9 @@ def _cum_prob(dist, x):
         ks = np.arange(1.0, np.floor(float(np.asarray(x))) + 1.0)
         return float(np.exp(_log_pmf(dist, ks)).sum())
     x = np.asarray(x, np.float64)
+    if kind == "beta":
+        _, a, b = dist
+        return _beta_binom_cdf(a, b, x)
     if kind == "uniform":
         _, a, b = dist
         return np.clip((x - a) / (b - a), 0.0, 1.0)
@@ -2396,6 +2434,9 @@ def _density(dist, x):
     if kind == "uniform":
         _, a, b = dist
         return np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0)
+    if kind == "beta":
+        _, a, b = dist
+        return _beta_pdf(a, b, x)
     raise ValueError(f"density: unsupported distribution {kind!r}")
 
 
@@ -4415,32 +4456,14 @@ ORACLE["eval_array_builders_events"] = """
 # ---------------------------------------------------------------------------
 
 
-def _beta_binom_cdf(a: int, b: int, x):
-    """Beta(a,b) CDF for INTEGER shapes via the binomial closed form
-    I_x(a,b) = sum_{j=a}^{a+b-1} C(a+b-1,j) x^j (1-x)^(a+b-1-j) —
-    elementary, so the SQL oracle can mirror it term by term."""
-    import math
-
-    x = np.asarray(x, np.float64)
-    n = a + b - 1
-    out = np.zeros_like(x)
-    for j in range(a, n + 1):
-        out = out + math.comb(n, j) * np.power(x, j) * np.power(
-            1.0 - x, n - j
+def _beta_distribution(a, b):
+    """BetaDistribution node.  Positive integer shapes only: the CDF is
+    the finite binomial sum of `_beta_binom_cdf`."""
+    if a != int(a) or b != int(b) or min(a, b) < 1:
+        raise ValueError(
+            f"betaDistribution takes positive integer shapes, got ({a}, {b})"
         )
-    return out
-
-
-def _beta_pdf(a: int, b: int, x):
-    """Beta(a,b) density for integer shapes: B(a,b) = (a-1)!(b-1)!/(a+b-1)!"""
-    import math
-
-    x = np.asarray(x, np.float64)
-    bfun = (
-        math.factorial(a - 1) * math.factorial(b - 1)
-        / math.factorial(a + b - 1)
-    )
-    return np.power(x, a - 1) * np.power(1.0 - x, b - 1) / bfun
+    return ("beta", int(a), int(b))
 
 
 EVALUATORS.update({
@@ -4451,46 +4474,8 @@ EVALUATORS.update({
          if probs is not None
          else np.full(len(np.asarray(vals)), 1.0 / len(np.asarray(vals)))),
     ),
-    "betaDistribution": lambda a, b: ("beta", int(a), int(b)),
+    "betaDistribution": _beta_distribution,
 })
-
-# extend the distribution dispatchers (probability / cumulativeProbability
-# / density) for the two new tagged kinds
-_orig_cum_prob = _cum_prob
-
-
-def _cum_prob_b18(dist, x):
-    kind = dist[0]
-    if kind == "enumerated":
-        _, vals, probs = dist
-        xx = float(np.asarray(x))
-        return float(probs[vals <= xx].sum())
-    if kind == "beta":
-        _, a, b = dist
-        return float(_beta_binom_cdf(a, b, float(np.asarray(x))))
-    return _orig_cum_prob(dist, x)
-
-
-def _dist_prob_b18(dist, k):
-    if dist[0] == "enumerated":
-        _, vals, probs = dist
-        kk = float(np.asarray(k))
-        m = vals == kk
-        return float(probs[m].sum())
-    return _dist_prob(dist, k)
-
-
-EVALUATORS["cumulativeProbability"] = _cum_prob_b18
-EVALUATORS["probability"] = _dist_prob_b18
-_orig_density = EVALUATORS.get("density")
-if _orig_density is not None:
-    def _density_b18(dist, x):
-        if dist[0] == "beta":
-            _, a, b = dist
-            return _beta_pdf(a, b, x)
-        return _orig_density(dist, x)
-
-    EVALUATORS["density"] = _density_b18
 
 
 def _term_vectors(texts, min_df: int = 1):

@@ -32,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from rindex.schema import join_partitions
-from rindex.ops.util import read_table
+from rindex.ops.util import N_BUCKETS, bucket_map_groups, read_table
 
 QUERIES: dict = {}
 ORACLE: dict = {}
@@ -850,10 +850,6 @@ def q_json_facet_unique_block_orders(sf_dir: str):
     orders per bucket."""
     li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        k = t["l_orderkey"].to_numpy(zero_copy_only=False)
-        return t.append_column("_ub", pa.array((k % 127).astype(np.int32)))
-
     def partial(g: pd.DataFrame) -> pd.DataFrame:
         n_child = g.groupby("l_returnflag", sort=False).size()
         d = g.drop_duplicates(["l_returnflag", "l_orderkey"])
@@ -875,11 +871,7 @@ def q_json_facet_unique_block_orders(sf_dir: str):
         return out
 
     return (
-        li.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_ub")
-        .map_groups(
-            lambda g: partial(g.drop(columns=["_ub"])), batch_format="pandas"
-        )
+        bucket_map_groups(li, "l_orderkey", partial, N_BUCKETS)
         .repartition(1)
         .map_batches(combine, batch_format="pandas")
     )

@@ -21,6 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from rindex.codec import NORM_DECODE_TABLE
+from rindex.ops.util import N_BUCKETS, bucket_map_groups
 from rindex.schema import B, K1, join_partitions
 
 QUERIES: dict = {}
@@ -2689,12 +2690,6 @@ def q_covering_query_documents(sf_dir: str):
     ]
     matches = parts[0].union(*parts[1:])
 
-    def bucket(t: pa.Table) -> pa.Table:
-        gb = (t["doc_id"].to_numpy(zero_copy_only=False) % 127).astype(
-            np.int32
-        )
-        return t.append_column("_gb", pa.array(gb))
-
     def cover(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("doc_id", as_index=False).agg(
             n_matched=("score", "size"), s=("score", "sum")
@@ -2711,14 +2706,7 @@ def q_covering_query_documents(sf_dir: str):
             }
         )
 
-    return (
-        matches.map_batches(bucket, batch_format="pyarrow",
-                            zero_copy_batch=True)
-        .groupby("_gb")
-        .map_groups(lambda g: cover(g.drop(columns=["_gb"])),
-                    batch_format="pandas")
-        .sort("doc_id")
-    )
+    return bucket_map_groups(matches, "doc_id", cover, N_BUCKETS).sort("doc_id")
 
 
 QUERIES["covering_query_documents"] = q_covering_query_documents

@@ -18,7 +18,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from rindex.schema import join_partitions
-from rindex.ops.util import broadcast_join, broadcast_semi_filter, read_table
+from rindex.ops.util import (
+    N_BUCKETS, broadcast_join, broadcast_semi_filter, bucket_map_groups,
+    md5_key, read_table,
+)
 
 QUERIES: dict = {}
 ORACLE: dict = {}
@@ -33,43 +36,10 @@ def _register(name, fn, sql=None):
 def _user_buckets() -> int:
     """Bucket modulus for high-cardinality key columns (user_id): the
     reduce granularity of the asof/window family's single shuffle.
-    Cluster-proportional like join_partitions() — 64 floor keeps small
-    runs cheap, RINDEX_USER_BUCKETS pins it for invariance tests.  The
-    modulus never changes RESULTS (each group is processed whole); only
-    reduce-task sizing."""
-    import os
-
-    env = os.environ.get("RINDEX_USER_BUCKETS")
-    if env:
-        return max(1, int(env))
+    Cluster-proportional like join_partitions(), with a 64 floor that
+    keeps small runs cheap.  The modulus never changes RESULTS (each group
+    is processed whole); only reduce-task sizing."""
     return max(64, join_partitions())
-
-
-def _stable_bucket_adder(col: str, n_buckets: int):
-    """map_batches fn appending `_gb` = stable-hash(col) % n_buckets — the
-    coarse shuffle key of the partial+combine rewrites (one reduce task
-    owns ~1/n of the GROUPS, never one tiny task per group).  md5-based:
-    python hash() is seed-randomized across Ray workers and would split a
-    group across buckets; only DISTINCT values are hashed (dictionary
-    encode + gather)."""
-    import hashlib
-
-    def add(t: pa.Table) -> pa.Table:
-        enc = t[col].combine_chunks().dictionary_encode()
-        hs = np.array(
-            [
-                int.from_bytes(
-                    hashlib.md5(str(v).encode()).digest()[:4], "little"
-                ) % n_buckets
-                for v in enc.dictionary.to_pylist()
-            ],
-            dtype=np.int32,
-        )
-        return t.append_column(
-            "_gb", pa.array(hs[enc.indices.to_numpy(zero_copy_only=False)])
-        )
-
-    return add
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +246,6 @@ def q_exact_distinct_users_per_type(sf_dir: str):
     ~1 ms/group scheduling)."""
     ds = read_table(sf_dir, "events", ["event_type", "user_id"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy()
-        return t.append_column(
-            "_ub", pa.array((u % 127).astype(np.int32))
-        )
-
     def partial(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["event_type", "user_id"])
         c = d.groupby("event_type", sort=False).size()
@@ -301,19 +265,8 @@ def q_exact_distinct_users_per_type(sf_dir: str):
             {"event_type": k[starts], "n_users": np.add.reduceat(n, starts)}
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("_ub")
-        .map_groups(partial, batch_format="pandas")
-        .map_batches(_stable_bucket_adder("event_type", 127),
-                     batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_gb")
-        .map_groups(
-            lambda g: combine(g.drop(columns=["_gb"])),
-            batch_format="pandas",
-        )
-    )
+    partials = bucket_map_groups(ds, "user_id", partial, N_BUCKETS)
+    return bucket_map_groups(partials, md5_key("event_type"), combine, N_BUCKETS)
 
 
 _register(
@@ -338,8 +291,6 @@ def q_percentile_value_per_type(sf_dir: str):
     # key (hash of group % prime) so one task handles ~1/prime of the
     # GROUPS and computes each group's quantiles from slice views of one
     # in-task sort, instead of paying per-group scheduling
-    add_bucket = _stable_bucket_adder("event_type", 127)
-
     def quants(g: pd.DataFrame) -> pd.DataFrame:
         df = g.sort_values(["event_type", "value"], kind="mergesort")
         k = df["event_type"].to_numpy()
@@ -358,12 +309,7 @@ def q_percentile_value_per_type(sf_dir: str):
             )
         return pd.DataFrame(rows, columns=["event_type", "p50", "p90"])
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("_gb")
-        .map_groups(quants, batch_format="pandas")
-    )
+    return bucket_map_groups(ds, md5_key("event_type"), quants, N_BUCKETS)
 
 
 _register(
@@ -661,12 +607,6 @@ def q_collapse_best_event_per_user(sf_dir: str):
     # the USERS and takes every user's argmax from run starts of one
     # in-task lexsort — per-user map_groups paid ~1 ms scheduling per user
     # (the tiny-group antipattern; at sf0.1 there are ~50k users)
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy()
-        return t.append_column(
-            "_ub", pa.array((u % 127).astype(np.int32))
-        )
-
     def best(g: pd.DataFrame) -> pd.DataFrame:
         u = g["user_id"].to_numpy()
         v = g["value"].to_numpy()
@@ -679,12 +619,7 @@ def q_collapse_best_event_per_user(sf_dir: str):
             {"user_id": u[sel], "event_id": e[sel], "value": v[sel]}
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("_ub")
-        .map_groups(best, batch_format="pandas")
-    )
+    return bucket_map_groups(ds, "user_id", best, N_BUCKETS)
 
 
 _register(
@@ -764,16 +699,7 @@ def q_expand_collapsed_events(sf_dir: str):
         ).astype({"user_id": np.int64, "event_id": np.int64,
                   "expand_rank": np.int64})
 
-    return (
-        ds.map_batches(
-            lambda t: t.append_column(
-                "_ub", pa.array((t["user_id"].to_numpy() % 17).astype(np.int32))
-            ),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        .groupby("_ub")
-        .map_groups(expand, batch_format="pandas")
-    )
+    return bucket_map_groups(ds, "user_id", expand, 17)
 
 
 _register(
@@ -823,16 +749,8 @@ def q_grouping_top2_events_per_type(sf_dir: str):
     partials = ds.map_batches(partial_top2, batch_format="pandas")
     # final combine distributed over a coarse bucket of the group key (all
     # partials of a group land in one task; tasks own many groups)
-    return (
-        partials.map_batches(
-            _stable_bucket_adder("event_type", 127),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        .groupby("_gb")
-        .map_groups(
-            lambda g: partial_top2(g.drop(columns=["_gb"])),
-            batch_format="pandas",
-        )
+    return bucket_map_groups(
+        partials, md5_key("event_type"), partial_top2, N_BUCKETS
     )
 
 
@@ -991,10 +909,6 @@ def q_asof_join_events(sf_dir: str):
     ds = read_table(
         sf_dir, "events", ["event_id", "user_id", "event_type", "ts", "value"]
     )
-    ds = ds.map_batches(
-        _stable_bucket_adder("user_id", _user_buckets()),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
 
     def asof(g: pd.DataFrame) -> pd.DataFrame:
         a = (
@@ -1028,15 +942,11 @@ def q_asof_join_events(sf_dir: str):
             }
         )
 
-    out = (
-        ds.groupby("_gb")
-        .map_groups(
-            lambda g: asof(g.drop(columns=["_gb"])), batch_format="pandas"
-        )
+    return (
+        bucket_map_groups(ds, md5_key("user_id"), asof, _user_buckets())
         .sort("event_id")
         .to_pandas()
     )
-    return out
 
 
 _register(
@@ -1132,10 +1042,6 @@ def q_sliding_window_events(sf_dir: str):
     across user RUNS inside a bucket (bounded by the bucket modulus, the
     scale knob), never across rows."""
     ds = read_table(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    ds = ds.map_batches(
-        _stable_bucket_adder("user_id", _user_buckets()),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
 
     def win(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"], kind="mergesort")
@@ -1161,13 +1067,9 @@ def q_sliding_window_events(sf_dir: str):
             }
         )
 
-    return (
-        ds.groupby("_gb")
-        .map_groups(
-            lambda g: win(g.drop(columns=["_gb"])), batch_format="pandas"
-        )
-        .sort("event_id")
-    )
+    return bucket_map_groups(
+        ds, md5_key("user_id"), win, _user_buckets()
+    ).sort("event_id")
 
 
 _register(

@@ -29,7 +29,8 @@ import re
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
+
+from rindex.ops.util import N_BUCKETS, bucket_map_groups
 
 QUERIES: dict = {}
 ORACLE: dict = {}
@@ -152,12 +153,6 @@ def _run_surround(sf_dir: str, query: str):
 
     tagged = parts[0].union(*parts[1:])
 
-    def bucket(t: pa.Table) -> pa.Table:
-        gb = (t["doc_id"].to_numpy(zero_copy_only=False) % 127).astype(
-            np.int32
-        )
-        return t.append_column("_gb", pa.array(gb))
-
     n_leaves = len(leaves)
 
     def evaluate(g: pd.DataFrame) -> pd.DataFrame:
@@ -184,13 +179,7 @@ def _run_surround(sf_dir: str, query: str):
 
         return pd.DataFrame({"doc_id": dids[ev(tree)]})
 
-    return (
-        tagged.map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_gb")
-        .map_groups(lambda g: evaluate(g.drop(columns=["_gb"])),
-                    batch_format="pandas")
-        .sort("doc_id")
-    )
+    return bucket_map_groups(tagged, "doc_id", evaluate, N_BUCKETS).sort("doc_id")
 
 
 def q_surround_query_documents(sf_dir: str):

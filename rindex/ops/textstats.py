@@ -21,7 +21,7 @@ import pandas as pd
 import pyarrow as pa
 
 from rindex.schema import pool_cap
-from rindex.ops.util import read_table
+from rindex.ops.util import N_BUCKETS, bucket_map_groups, read_table
 
 QUERIES: dict = {}
 ORACLE: dict = {}
@@ -2610,27 +2610,19 @@ def q_bigram_nll_documents(sf_dir: str):
     # distributed combine BEFORE the driver collect: partials bucket on a
     # stable key hash so each reduce task sums its share of the vocabulary;
     # the driver only ever sees the combined (distinct-bounded) LM rows
-    def key_bucket(t: pa.Table) -> pa.Table:
-        gk = (
+    def lm_key(t: pa.Table) -> np.ndarray:
+        return (
             t["k1"].to_numpy(zero_copy_only=False) * 31
             + t["k2"].to_numpy(zero_copy_only=False)
             + t["kind"].to_numpy(zero_copy_only=False)
         )
-        return t.append_column(
-            "_gb", pa.array((gk % 127).astype(np.int32))
-        )
 
-    parts = (
-        ds.map_batches(count_part, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(key_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_gb")
-        .map_groups(
-            lambda g: g.drop(columns=["_gb"])
-            .groupby(["kind", "k1", "k2"], as_index=False)["cnt"].sum(),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
+    parts = bucket_map_groups(
+        ds.map_batches(count_part, batch_format="pyarrow", zero_copy_batch=True),
+        lm_key,
+        lambda g: g.groupby(["kind", "k1", "k2"], as_index=False)["cnt"].sum(),
+        N_BUCKETS,
+    ).to_pandas()
     agg = parts.groupby(["kind", "k1", "k2"], as_index=False)["cnt"].sum()
     uni = agg[agg["kind"] == 0]
     bgr = agg[agg["kind"] == 1]

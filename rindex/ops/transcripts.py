@@ -35,33 +35,31 @@ operation the reference applies at document granularity:
  * renumber  — stable turn re-ordering invariant: drop tool-bearing turns,
    renumber densely per conversation with turn order preserved.
 
-Partitioning: conversations are tiny groups, so every group step buckets
-conv_id % 127 first (one reduce task owns ~1/127 of the CONVERSATIONS, per
-the repo's coarse-bucket convention) — at 10^12 turns raise the modulus,
+Partitioning: conversations are tiny groups, so every group step is one
+`bucket_map_groups` over conv_id % N_BUCKETS (one reduce task owns
+~1/N_BUCKETS of the CONVERSATIONS) — at 10^12 turns raise the modulus,
 nothing else changes.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from rindex.ops.util import read_table
+from rindex.ops.util import N_BUCKETS, bucket_map_groups, read_table
 from rindex.schema import B, K1, pool_cap
 
 QUERIES: dict = {}
 ORACLE: dict = {}
 
 TURNS_PER_CONV = 5
-# Conv-bucket shuffle modulus — THE scale knob for every conversation op:
-# a reduce task sees ~n_convs/N_BUCKETS conversations, so raise this with
-# corpus size to bound reducer memory (env-overridable; the skew pytest
-# runs the extremes and asserts identical output).
-N_BUCKETS = int(os.environ.get("RINDEX_CONV_BUCKETS", 127))
+# N_BUCKETS, the conv-bucket shuffle modulus, is read from this module at
+# call time by every conversation op: a reduce task sees
+# ~n_convs/N_BUCKETS conversations (the skew tests patch it to the
+# extremes and assert identical output).
 
 # Shared CTE — the documents -> transcripts mapping, verbatim mirror of
 # _derive() below.  Any edit must change both.
@@ -95,13 +93,9 @@ def _derive(t: pa.Table) -> pa.Table:
     return t
 
 
-def _conv_bucket(t: pa.Table) -> pa.Table:
-    """Coarse shuffle key: conv_id % N_BUCKETS (int key — direct modulus is
-    stable across workers, no hashing needed)."""
-    gb = (t["conv_id"].to_numpy(zero_copy_only=False) % N_BUCKETS).astype(
-        np.int32
-    )
-    return t.append_column("_gb", pa.array(gb))
+def _fp_key(t: pa.Table) -> np.ndarray:
+    """Shuffle key of a hex fingerprint column: its first 32 bits."""
+    return np.array([int(f[:8], 16) for f in t["fp"].to_pylist()], np.int64)
 
 
 def _conv_view(sf_dir: str, columns=("doc_id", "text")):
@@ -115,10 +109,8 @@ def _conv_view(sf_dir: str, columns=("doc_id", "text")):
 def q_conv_flatten_documents(sf_dir: str):
     """Per-conversation chat render: 'role: text' lines joined by turn
     order, plus turn count and rendered length.  One shuffle (conv bucket);
-    each reduce task renders ~1/127 of the conversations vectorized."""
-    ds = _conv_view(sf_dir).map_batches(
-        _conv_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
+    each reduce task renders ~1/N_BUCKETS of the conversations vectorized."""
+    ds = _conv_view(sf_dir)
 
     def flatten(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -137,9 +129,7 @@ def q_conv_flatten_documents(sf_dir: str):
             }
         )
 
-    return ds.groupby("_gb").map_groups(
-        lambda g: flatten(g.drop(columns=["_gb"])), batch_format="pandas"
-    )
+    return bucket_map_groups(ds, "conv_id", flatten, N_BUCKETS)
 
 
 QUERIES["conv_flatten_documents"] = q_conv_flatten_documents
@@ -197,7 +187,6 @@ def q_conv_stats_documents(sf_dir: str):
         read_table(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(indicators, batch_format="pyarrow", zero_copy_batch=True)
         .map_batches(_stats_partial, batch_format="pandas")
-        .map_batches(_conv_bucket, batch_format="pyarrow", zero_copy_batch=True)
     )
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
@@ -214,9 +203,7 @@ def q_conv_stats_documents(sf_dir: str):
         )
         return out
 
-    return ds.groupby("_gb").map_groups(
-        lambda g: combine(g.drop(columns=["_gb"])), batch_format="pandas"
-    )
+    return bucket_map_groups(ds, "conv_id", combine, N_BUCKETS)
 
 
 QUERIES["conv_stats_documents"] = q_conv_stats_documents
@@ -243,9 +230,7 @@ def q_conv_window_context_documents(sf_dir: str):
     """Each assistant turn paired with its immediately preceding turn
     (lag-1 within the conversation under stable turn order) — the context-
     assembly step of a training-data pipeline over transcripts."""
-    ds = _conv_view(sf_dir).map_batches(
-        _conv_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
+    ds = _conv_view(sf_dir)
 
     def window(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -264,9 +249,7 @@ def q_conv_window_context_documents(sf_dir: str):
             }
         )
 
-    return ds.groupby("_gb").map_groups(
-        lambda g: window(g.drop(columns=["_gb"])), batch_format="pandas"
-    )
+    return bucket_map_groups(ds, "conv_id", window, N_BUCKETS)
 
 
 QUERIES["conv_window_context_documents"] = q_conv_window_context_documents
@@ -293,9 +276,7 @@ def q_conv_dedup_documents(sf_dir: str):
     lowercased text stream (chr(31) joints), keep the lowest conv_id per
     fingerprint.  Two small shuffles: conv bucket to assemble fingerprints,
     fingerprint bucket to elect survivors."""
-    ds = _conv_view(sf_dir).map_batches(
-        _conv_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
+    ds = _conv_view(sf_dir)
 
     def fingerprint(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -313,19 +294,7 @@ def q_conv_dedup_documents(sf_dir: str):
             }
         )
 
-    fp = ds.groupby("_gb").map_groups(
-        lambda g: fingerprint(g.drop(columns=["_gb"])), batch_format="pandas"
-    )
-
-    def fp_bucket(t: pa.Table) -> pa.Table:
-        gb = np.array(
-            [
-                int(f[:8], 16) % N_BUCKETS
-                for f in t["fp"].to_pylist()
-            ],
-            dtype=np.int32,
-        )
-        return t.append_column("_gb", pa.array(gb))
+    fp = bucket_map_groups(ds, "conv_id", fingerprint, N_BUCKETS)
 
     def elect(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("fp", as_index=False).agg(
@@ -334,12 +303,7 @@ def q_conv_dedup_documents(sf_dir: str):
         out["n_convs"] = out["n_convs"].astype(np.int64)
         return out
 
-    return (
-        fp.map_batches(fp_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_gb")
-        .map_groups(lambda g: elect(g.drop(columns=["_gb"])),
-                    batch_format="pandas")
-    )
+    return bucket_map_groups(fp, _fp_key, elect, N_BUCKETS)
 
 
 QUERIES["conv_dedup_documents"] = q_conv_dedup_documents
@@ -410,17 +374,7 @@ def q_conv_search_topk_documents(sf_dir: str):
         )
         return out
 
-    allq = (
-        pooled.map_batches(
-            _conv_bucket, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("_gb")
-        .map_groups(
-            lambda g: combine(g.drop(columns=["_gb"])),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
+    allq = bucket_map_groups(pooled, "conv_id", combine, N_BUCKETS).to_pandas()
     allq = allq.sort_values(
         ["query_id", "s", "conv_id"],
         ascending=[True, False, True],
@@ -513,7 +467,6 @@ def q_conv_renumber_documents(sf_dir: str):
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-        .map_batches(_conv_bucket, batch_format="pyarrow", zero_copy_batch=True)
     )
 
     def renumber(g: pd.DataFrame) -> pd.DataFrame:
@@ -528,11 +481,7 @@ def q_conv_renumber_documents(sf_dir: str):
             }
         )
 
-    return ds.groupby("_gb").map_groups(
-        lambda g: renumber(g.drop(columns=["_gb", "role", "text"],
-                                  errors="ignore")),
-        batch_format="pandas",
-    )
+    return bucket_map_groups(ds, "conv_id", renumber, N_BUCKETS)
 
 
 # --- agent echo-loop detection ----------------------------------------------
@@ -556,9 +505,7 @@ def q_conv_echo_loop_documents(sf_dir: str):
     suspected loop — the transcript-granularity analog of the Gopher
     repetition gates (repetition_stats_documents).  Jaccard is ONE integer
     division per pair, so values match the oracle bit-exactly."""
-    ds = _conv_view(sf_dir).map_batches(
-        _conv_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
+    ds = _conv_view(sf_dir)
 
     def loops(g: pd.DataFrame) -> pd.DataFrame:
         g = g[g["role"].eq("assistant")].sort_values(
@@ -596,9 +543,7 @@ def q_conv_echo_loop_documents(sf_dir: str):
             }
         )
 
-    return ds.groupby("_gb").map_groups(
-        lambda g: loops(g.drop(columns=["_gb"])), batch_format="pandas"
-    )
+    return bucket_map_groups(ds, "conv_id", loops, N_BUCKETS)
 
 
 QUERIES["conv_echo_loop_documents"] = q_conv_echo_loop_documents
@@ -672,7 +617,6 @@ def q_conv_tool_transitions_documents(sf_dir: str):
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-        .map_batches(_conv_bucket, batch_format="pyarrow", zero_copy_batch=True)
     )
 
     def partial(g: pd.DataFrame) -> pd.DataFrame:
@@ -703,9 +647,7 @@ def q_conv_tool_transitions_documents(sf_dir: str):
             preserve_index=False,
         )
 
-    partials = ds.groupby("_gb").map_groups(
-        lambda g: partial(g.drop(columns=["_gb"])), batch_format="pandas"
-    )
+    partials = bucket_map_groups(ds, "conv_id", partial, N_BUCKETS)
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         out = df.groupby(["from_tool", "to_tool"], as_index=False)["n"].sum()
@@ -756,9 +698,7 @@ def q_conv_latency_documents(sf_dir: str):
     derived monotone turn timestamps.  Integer microsecond arithmetic end
     to end; the only floats are the two final divisions, computed with the
     identical scalar tree on both sides."""
-    ds = _conv_view(sf_dir, columns=("doc_id",)).map_batches(
-        _conv_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
+    ds = _conv_view(sf_dir, columns=("doc_id",))
 
     def lat(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -793,9 +733,7 @@ def q_conv_latency_documents(sf_dir: str):
         res["avg_assistant_latency_s"] = mean_gap / 1000000.0
         return res
 
-    return ds.groupby("_gb").map_groups(
-        lambda g: lat(g.drop(columns=["_gb"])), batch_format="pandas"
-    )
+    return bucket_map_groups(ds, "conv_id", lat, N_BUCKETS)
 
 
 QUERIES["conv_latency_documents"] = q_conv_latency_documents
@@ -846,9 +784,7 @@ def q_conv_curation_pipeline_documents(sf_dir: str):
     curation_pipeline_documents)."""
     from rindex.ops.analysis_ext import split_bucket100, split_of_buckets
 
-    ds = _conv_view(sf_dir).map_batches(
-        _conv_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
+    ds = _conv_view(sf_dir)
 
     def signals(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -884,16 +820,7 @@ def q_conv_curation_pipeline_documents(sf_dir: str):
             }
         )
 
-    per = ds.groupby("_gb").map_groups(
-        lambda g: signals(g.drop(columns=["_gb"])), batch_format="pandas"
-    )
-
-    def fp_bucket(t: pa.Table) -> pa.Table:
-        gb = np.array(
-            [int(f[:8], 16) % N_BUCKETS for f in t["fp"].to_pylist()],
-            dtype=np.int32,
-        )
-        return t.append_column("_gb", pa.array(gb))
+    per = bucket_map_groups(ds, "conv_id", signals, N_BUCKETS)
 
     def label(g: pd.DataFrame) -> pd.DataFrame:
         keep = g.groupby("fp")["conv_id"].transform("min")
@@ -914,10 +841,7 @@ def q_conv_curation_pipeline_documents(sf_dir: str):
         return pd.DataFrame({"cat": cat.astype(object)})
 
     cats = (
-        per.map_batches(fp_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_gb")
-        .map_groups(lambda g: label(g.drop(columns=["_gb"])),
-                    batch_format="pandas")
+        bucket_map_groups(per, _fp_key, label, N_BUCKETS)
         .groupby("cat")
         .count()
         .to_pandas()
@@ -1068,21 +992,15 @@ def q_conv_packing_documents(sf_dir: str):
                 ).to_numpy(zero_copy_only=False),
             }
         )
-        return df.groupby("conv_id", as_index=False)["c"].sum()
+        out = df.groupby("conv_id", as_index=False)["c"].sum()
+        out["shard"] = out["conv_id"].to_numpy(np.int64) // PACK_SHARD_CONVS
+        return out
 
     per = (
         read_table(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(chars_per_conv, batch_format="pyarrow",
                      zero_copy_batch=True)
     )
-
-    def shard_bucket(t: pa.Table) -> pa.Table:
-        conv = t["conv_id"].to_numpy(zero_copy_only=False)
-        shard = conv // PACK_SHARD_CONVS
-        t = t.append_column("shard", pa.array(shard, pa.int64()))
-        return t.append_column(
-            "_gb", pa.array((shard % N_BUCKETS).astype(np.int32))
-        )
 
     def pack(g: pd.DataFrame) -> pd.DataFrame:
         # combine per-batch char partials, then first-fit walk per shard
@@ -1111,13 +1029,7 @@ def q_conv_packing_documents(sf_dir: str):
             }
         )
 
-    return (
-        per.map_batches(shard_bucket, batch_format="pyarrow",
-                        zero_copy_batch=True)
-        .groupby("_gb")
-        .map_groups(lambda g: pack(g.drop(columns=["_gb"])),
-                    batch_format="pandas")
-    )
+    return bucket_map_groups(per, "shard", pack, N_BUCKETS)
 
 
 QUERIES["conv_packing_documents"] = q_conv_packing_documents
@@ -1168,7 +1080,7 @@ def q_conv_lang_consistency_documents(sf_dir: str):
         batch_format="pandas",
         batch_size=1024,
         concurrency=pool_cap(min_cap=2),
-    ).map_batches(_conv_bucket, batch_format="pyarrow", zero_copy_batch=True)
+    )
 
     def consistency(g: pd.DataFrame) -> pd.DataFrame:
         cnt = (
@@ -1188,9 +1100,7 @@ def q_conv_lang_consistency_documents(sf_dir: str):
             }
         )
 
-    return langs.groupby("_gb").map_groups(
-        lambda g: consistency(g.drop(columns=["_gb"])), batch_format="pandas"
-    )
+    return bucket_map_groups(langs, "conv_id", consistency, N_BUCKETS)
 
 
 QUERIES["conv_lang_consistency_documents"] = q_conv_lang_consistency_documents
@@ -1307,14 +1217,13 @@ def q_conv_truncate_context_documents(sf_dir: str):
         n = pc.count_substring_regex(
             pc.utf8_lower(t["text"]), "[0-9a-z]+"
         ).cast(pa.int64())
-        out = pa.table(
+        return pa.table(
             {
                 "conv_id": t["conv_id"],
                 "turn_idx": t["turn_idx"],
                 "n_tok": n,
             }
         )
-        return _conv_bucket(out)
 
     def truncate(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
@@ -1337,11 +1246,8 @@ def q_conv_truncate_context_documents(sf_dir: str):
         out["kept_tokens"] = out["kept_tokens"].astype(np.int64)
         return out
 
-    return ds.map_batches(
-        tokcount, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("_gb").map_groups(
-        lambda g: truncate(g.drop(columns=["_gb"])), batch_format="pandas"
-    )
+    ds = ds.map_batches(tokcount, batch_format="pyarrow", zero_copy_batch=True)
+    return bucket_map_groups(ds, "conv_id", truncate, N_BUCKETS)
 
 
 QUERIES["conv_truncate_context_documents"] = q_conv_truncate_context_documents
@@ -1378,9 +1284,7 @@ def q_conv_reply_overlap_documents(sf_dir: str):
     High mean = the assistant parrots the user (a curation signal next to
     the echo-loop detector).  Rates are exact small-integer ratios;
     the mean of <= 2 such doubles is order-free, rounded 6dp."""
-    ds = _conv_view(sf_dir).map_batches(
-        _conv_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
+    ds = _conv_view(sf_dir)
 
     def overlap(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -1419,9 +1323,7 @@ def q_conv_reply_overlap_documents(sf_dir: str):
             }
         )
 
-    return ds.groupby("_gb").map_groups(
-        lambda g: overlap(g.drop(columns=["_gb"])), batch_format="pandas"
-    )
+    return bucket_map_groups(ds, "conv_id", overlap, N_BUCKETS)
 
 
 QUERIES["conv_reply_overlap_documents"] = q_conv_reply_overlap_documents
@@ -1459,9 +1361,7 @@ def q_conv_role_alternation_documents(sf_dir: str):
     adjacent same-role turns are violations.  Per conversation: kept-turn
     count, violation count, validity flag.  One conv-bucket shuffle;
     the adjacency check is a vectorized shift-compare per reduce task."""
-    ds = _conv_view(sf_dir, columns=("doc_id",)).map_batches(
-        _conv_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
+    ds = _conv_view(sf_dir, columns=("doc_id",))
 
     def check(g: pd.DataFrame) -> pd.DataFrame:
         g = g[g["tool"] == ""].sort_values(
@@ -1483,9 +1383,7 @@ def q_conv_role_alternation_documents(sf_dir: str):
         out["n_violations"] = out["n_violations"].astype("int64")
         return out
 
-    return ds.groupby("_gb").map_groups(
-        lambda g: check(g.drop(columns=["_gb"])), batch_format="pandas"
-    )
+    return bucket_map_groups(ds, "conv_id", check, N_BUCKETS)
 
 
 QUERIES["conv_role_alternation_documents"] = q_conv_role_alternation_documents
@@ -1519,9 +1417,7 @@ def q_conv_session_split_documents(sf_dir: str):
     `solr/solrj/.../io/stream/TimeSeriesStream.java` gap semantics).
     Output per conversation: session count and the longest session.
     Cumulative-sum-over-break-flags per reduce task, one shuffle."""
-    ds = _conv_view(sf_dir, columns=("doc_id",)).map_batches(
-        _conv_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
+    ds = _conv_view(sf_dir, columns=("doc_id",))
 
     def split(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -1543,9 +1439,7 @@ def q_conv_session_split_documents(sf_dir: str):
             out[c] = out[c].astype("int64")
         return out
 
-    return ds.groupby("_gb").map_groups(
-        lambda g: split(g.drop(columns=["_gb"])), batch_format="pandas"
-    )
+    return bucket_map_groups(ds, "conv_id", split, N_BUCKETS)
 
 
 QUERIES["conv_session_split_documents"] = q_conv_session_split_documents
@@ -1593,9 +1487,7 @@ def q_conv_head_tail_documents(sf_dir: str):
     a part marker; turns in both windows (short conversations) are kept
     once, marked 'head'.  One shuffle; per-task vectorized rank from both
     ends."""
-    ds = _conv_view(sf_dir, columns=("doc_id",)).map_batches(
-        _conv_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
+    ds = _conv_view(sf_dir, columns=("doc_id",))
 
     def sample(g: pd.DataFrame) -> pd.DataFrame:
         g = g[g["tool"] == ""].sort_values(
@@ -1622,9 +1514,7 @@ def q_conv_head_tail_documents(sf_dir: str):
         )
         return out
 
-    return ds.groupby("_gb").map_groups(
-        lambda g: sample(g.drop(columns=["_gb"])), batch_format="pandas"
-    )
+    return bucket_map_groups(ds, "conv_id", sample, N_BUCKETS)
 
 
 QUERIES["conv_head_tail_documents"] = q_conv_head_tail_documents
@@ -1897,11 +1787,7 @@ def q_conv_topic_shift_embeddings(sf_dir: str):
             * 1000.0
         ).astype(np.int64)
         conv = vid // TURNS_PER_CONV
-        cols = {
-            "vec_id": vid,
-            "conv_id": conv,
-            "_gb": (conv % N_BUCKETS).astype(np.int64),
-        }
+        cols = {"vec_id": vid, "conv_id": conv}
         for i in range(m.shape[1]):
             cols[f"c{i}"] = m[:, i]
         return pa.table(cols)
@@ -1939,12 +1825,10 @@ def q_conv_topic_shift_embeddings(sf_dir: str):
             agg[c] = agg[c].astype("int64")
         return agg
 
-    out = (
-        emb.map_batches(quant, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_gb")
-        .map_groups(seg, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_map_groups(
+        emb.map_batches(quant, batch_format="pyarrow", zero_copy_batch=True),
+        "conv_id", seg, N_BUCKETS,
+    ).to_pandas()
     return out.sort_values("conv_id").reset_index(drop=True)
 
 
@@ -2016,7 +1900,6 @@ def q_conv_dpo_pairs_documents(sf_dir: str):
                 "conv_id": pa.array(conv[keep], pa.int64()),
                 "turn_idx": pa.array(ti[keep], pa.int64()),
                 "score": pa.array(sc[keep], pa.int64()),
-                "_gb": pa.array((conv[keep] % N_BUCKETS).astype(np.int64)),
             }
         )
 
@@ -2053,9 +1936,10 @@ def q_conv_dpo_pairs_documents(sf_dir: str):
         return out
 
     out = (
-        ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_gb")
-        .map_groups(pick, batch_format="pandas")
+        bucket_map_groups(
+            ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True),
+            "conv_id", pick, N_BUCKETS,
+        )
         .to_pandas()
     )
     return out.sort_values("conv_id").reset_index(drop=True)
@@ -2135,7 +2019,6 @@ def q_conv_context_growth_documents(sf_dir: str):
                 "turn_idx": t["turn_idx"],
                 "n": pa.array(n),
                 "is_a": pa.array((role == "assistant").astype(np.int64)),
-                "_gb": pa.array((conv % N_BUCKETS).astype(np.int64)),
             }
         )
 
@@ -2156,9 +2039,10 @@ def q_conv_context_growth_documents(sf_dir: str):
         return agg
 
     out = (
-        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_gb")
-        .map_groups(grow, batch_format="pandas")
+        bucket_map_groups(
+            ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
+            "conv_id", grow, N_BUCKETS,
+        )
         .to_pandas()
     )
     return out.sort_values("conv_id").reset_index(drop=True)
@@ -2232,7 +2116,6 @@ def q_conv_tool_chain_documents(sf_dir: str):
                 "conv_id": pa.array(conv, pa.int64()),
                 "turn_idx": pa.array(ti),
                 "is_tool": pa.array(is_tool),
-                "_gb": pa.array((conv % N_BUCKETS).astype(np.int64)),
             }
         )
 
@@ -2268,9 +2151,10 @@ def q_conv_tool_chain_documents(sf_dir: str):
         return agg
 
     out = (
-        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_gb")
-        .map_groups(rle, batch_format="pandas")
+        bucket_map_groups(
+            ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
+            "conv_id", rle, N_BUCKETS,
+        )
         .to_pandas()
     )
     return out.sort_values("conv_id").reset_index(drop=True)
@@ -2642,17 +2526,7 @@ def q_conv_recency_search_documents(sf_dir: str):
         )
         return out
 
-    allq = (
-        pooled.map_batches(
-            _conv_bucket, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("_gb")
-        .map_groups(
-            lambda g: combine(g.drop(columns=["_gb"])),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
+    allq = bucket_map_groups(pooled, "conv_id", combine, N_BUCKETS).to_pandas()
     allq = allq.sort_values(
         ["query_id", "s", "conv_id"],
         ascending=[True, False, True],
@@ -2776,9 +2650,6 @@ def q_conv_self_repetition_documents(sf_dir: str):
                 "turn_idx": pa.array(np.array(tn, np.int64)),
                 "bigram": pa.array(bg, pa.string()),
                 "is_a": pa.array(np.array(ia, np.int64)),
-                "_gb": pa.array(
-                    (np.array(cv, np.int64) % N_BUCKETS).astype(np.int64)
-                ),
             }
         )
 
@@ -2816,9 +2687,10 @@ def q_conv_self_repetition_documents(sf_dir: str):
         return agg
 
     out = (
-        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_gb")
-        .map_groups(rep, batch_format="pandas")
+        bucket_map_groups(
+            ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
+            "conv_id", rep, N_BUCKETS,
+        )
         .to_pandas()
     )
     return out.sort_values("conv_id").reset_index(drop=True)
@@ -2892,9 +2764,7 @@ def q_conv_near_dedup_documents(sf_dir: str):
         _explode, _jaccard_from_counts, _pair_counts, _shingle_pass,
     )
 
-    ds = _conv_view(sf_dir).map_batches(
-        _conv_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
+    ds = _conv_view(sf_dir)
 
     def assemble(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -2907,7 +2777,7 @@ def q_conv_near_dedup_documents(sf_dir: str):
         )
 
     docs = _shingle_pass(
-        ds.groupby("_gb").map_groups(assemble, batch_format="pandas"),
+        bucket_map_groups(ds, "conv_id", assemble, N_BUCKETS),
         id_col="conv_id",
     )
     counts = _pair_counts(_explode(docs, "sh"), "sh")
@@ -3260,9 +3130,7 @@ def q_conv_tool_recovery_documents(sf_dir: str):
     before keeping a transcript for training.  Shape: the tool filter
     drops ~5/7 of turns in-scan; one conv-bucket shuffle; per-group
     vectorized suffix-max (no Python pair loops)."""
-    ds = _conv_view(sf_dir).map_batches(
-        _conv_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
+    ds = _conv_view(sf_dir)
 
     def rec(g: pd.DataFrame) -> pd.DataFrame:
         g = g[g["tool"].ne("")].sort_values(
@@ -3305,9 +3173,7 @@ def q_conv_tool_recovery_documents(sf_dir: str):
         out = df.groupby("conv_id", as_index=False).sum()
         return out[out["n_err"] > 0]
 
-    return ds.groupby("_gb").map_groups(
-        lambda g: rec(g.drop(columns=["_gb"])), batch_format="pandas"
-    )
+    return bucket_map_groups(ds, "conv_id", rec, N_BUCKETS)
 
 
 QUERIES["conv_tool_recovery_documents"] = q_conv_tool_recovery_documents
@@ -3472,17 +3338,7 @@ def q_conv_search_avgpool_documents(sf_dir: str):
         )
         return out[["query_id", "conv_id", "ssum", "n", "s"]]
 
-    allq = (
-        pooled.map_batches(
-            _conv_bucket, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("_gb")
-        .map_groups(
-            lambda g: combine(g.drop(columns=["_gb"])),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
+    allq = bucket_map_groups(pooled, "conv_id", combine, N_BUCKETS).to_pandas()
     # re-combine across buckets (a conv lives in ONE bucket, so this only
     # merges the per-bucket top-k lists), then final rank
     allq["s"] = allq["ssum"] / allq["n"]
@@ -3657,7 +3513,6 @@ def q_conv_rejection_sampling_documents(sf_dir: str):
                 "conv_id": pa.array(conv, pa.int64()),
                 "prefix": pa.array(pfx, pa.string()),
                 "reward": pa.array(reward),
-                "_gb": pa.array((conv % N_BUCKETS).astype(np.int64)),
             }
         )
 
@@ -3675,9 +3530,10 @@ def q_conv_rejection_sampling_documents(sf_dir: str):
         return agg.reset_index()[["conv_id", "prefix", "reward"]]
 
     convs = (
-        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_gb")
-        .map_groups(per_conv, batch_format="pandas")
+        bucket_map_groups(
+            ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
+            "conv_id", per_conv, N_BUCKETS,
+        )
     ).to_pandas()
     pools = (
         convs.sort_values(["prefix", "reward", "conv_id"],
@@ -3777,7 +3633,6 @@ def q_conv_sft_pairs_documents(sf_dir: str):
                 "turn_idx": t["turn_idx"],
                 "role": t["role"],
                 "n_tok": pa.array(n),
-                "_gb": pa.array((conv % N_BUCKETS).astype(np.int64)),
             }
         )
 
@@ -3804,9 +3659,10 @@ def q_conv_sft_pairs_documents(sf_dir: str):
         return out
 
     out = (
-        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_gb")
-        .map_groups(pairs, batch_format="pandas")
+        bucket_map_groups(
+            ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
+            "conv_id", pairs, N_BUCKETS,
+        )
         .to_pandas()
     )
     return out.sort_values(["conv_id", "q_turn"]).reset_index(drop=True)

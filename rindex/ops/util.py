@@ -87,6 +87,65 @@ def broadcast_semi_filter(ds, keys, col: str, anti: bool = False):
     return ds.map_batches(f, batch_format="pyarrow")
 
 
+# Coarse-bucket shuffle modulus: a reduce task of `bucket_map_groups` owns
+# ~1/N_BUCKETS of the groups.  Never changes results (each group is
+# processed whole), only reduce-task sizing.
+N_BUCKETS = 127
+
+
+def md5_key(col: str):
+    """`bucket_map_groups` key for a column whose values are not small
+    ints: the first 4 bytes of md5(str(value)), little-endian.  Python's
+    hash() is seed-randomized across Ray workers and would split a group
+    across buckets; only DISTINCT values are hashed (dictionary encode +
+    gather)."""
+    import hashlib
+
+    def key(t: pa.Table) -> np.ndarray:
+        enc = t[col].combine_chunks().dictionary_encode()
+        hs = np.array(
+            [
+                int.from_bytes(hashlib.md5(str(v).encode()).digest()[:4], "little")
+                for v in enc.dictionary.to_pylist()
+            ],
+            dtype=np.int64,
+        )
+        return hs[enc.indices.to_numpy(zero_copy_only=False)]
+
+    return key
+
+
+def add_bucket_column(t: pa.Table, key, n_buckets: int) -> pa.Table:
+    """`t` plus the int32 shuffle column `_gb` = key % n_buckets, where
+    `key` is an integer column name or a function table -> int array.
+    Schema metadata is dropped: Ray's block-schema unification hashes the
+    schemas, and one carrying metadata (parquet's pandas dict) is
+    unhashable, so every reduce would log and take the slow path."""
+    k = key(t) if callable(key) else t[key].to_numpy(zero_copy_only=False)
+    gb = (np.asarray(k) % n_buckets).astype(np.int32)
+    return t.replace_schema_metadata(None).append_column("_gb", pa.array(gb))
+
+
+def bucket_map_groups(ds, key, fn, n_buckets: int):
+    """The ops' one coarse-bucket shuffle: rows are bucketed by
+    `key % n_buckets` (see `add_bucket_column`), one sort-based
+    `groupby("_gb").map_groups` brings each bucket to one task, and `fn`
+    gets the bucket's rows as a pandas frame without `_gb`.  A bucket
+    holds whole groups of `key`, so `fn` may finish every group it sees.
+    Sort-based on purpose: a hash-shuffle `repartition(keys=)` is ~10x
+    slower on these small groups (ROADMAP item 6).  `_gb` is dropped from
+    the Arrow group, before the pandas conversion: a pandas drop copies
+    the frame, once per bucket, and the near-dup ops run 509 buckets per
+    shuffle."""
+    return (
+        ds.map_batches(lambda t: add_bucket_column(t, key, n_buckets),
+                       batch_format="pyarrow", zero_copy_batch=True)
+        .groupby("_gb")
+        .map_groups(lambda t: fn(t.drop_columns(["_gb"]).to_pandas()),
+                    batch_format="pyarrow")
+    )
+
+
 def to_pandas_sorted(ds, by: list[str]) -> pd.DataFrame:
     df = ds.to_pandas() if hasattr(ds, "to_pandas") else ds
     return df.sort_values(by).reset_index(drop=True)

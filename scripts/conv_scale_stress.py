@@ -8,9 +8,9 @@ it and reports wall seconds, output rows and turns/sec per op.
 Usage:  python scripts/conv_scale_stress.py [n_tiles] [num_cpus]
         (defaults: 576 tiles -> 2.88M turns, 32 cpus)
 
-The conv-bucket modulus is the scale knob: reducers see
-~n_convs/N_BUCKETS conversations each; override RINDEX_CONV_BUCKETS to
-study the skew/parallelism trade-off.
+The conv-bucket modulus `rindex.ops.transcripts.N_BUCKETS` is the scale
+knob: reducers see ~n_convs/N_BUCKETS conversations each; the report
+records the modulus the run used.
 """
 
 import json
@@ -69,6 +69,7 @@ def main() -> None:
     sf_dir = build_corpus(n_tiles)
     n_turns = 5000 * n_tiles
 
+    import rindex.ops.transcripts as tx
     from rindex.ops.transcripts import (
         q_conv_curation_pipeline_documents,
         q_conv_flatten_documents,
@@ -100,9 +101,7 @@ def main() -> None:
                 "n_turns": n_turns,
                 "n_convs": n_turns // 5,
                 "num_cpus": num_cpus,
-                "conv_buckets": int(
-                    os.environ.get("RINDEX_CONV_BUCKETS", 127)
-                ),
+                "conv_buckets": tx.N_BUCKETS,
                 "ops": results,
             }
         )

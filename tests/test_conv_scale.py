@@ -1,11 +1,14 @@
 """Conversation-family scale contracts (VERDICT r3 item #8).
 
-The conv-bucket modulus N_BUCKETS is the scale knob that bounds reducer
+The conv-bucket modulus `rindex.ops.transcripts.N_BUCKETS` (127, a plain
+module constant every conversation op reads at call time and hands to
+`rindex.ops.util.bucket_map_groups`) is the scale knob that bounds reducer
 memory: a reduce task sees ~n_convs/N_BUCKETS conversations.  These tests
 pin (a) correctness under EXTREME bucket skew — a corpus engineered so
 every conversation lands in the same bucket (one reducer owns the whole
-corpus) — and (b) that the knob is output-invariant: modulus 1 (max skew)
-and 997 (max spread) produce identical results.
+corpus) — and (b) that the knob is output-invariant: patching the module
+constant to modulus 1 (max skew) and 997 (max spread) produces identical
+results.
 
 The 2.88M-turn wall-clock stress itself runs via
 scripts/conv_scale_stress.py and is recorded in BASELINE.md.

@@ -85,6 +85,18 @@ def test_batch17_evaluator_kernels():
     assert EVALUATORS["addAll"]([1], [2, 3]).tolist() == [1, 2, 3]
     assert EVALUATORS["factorial"](6) == 720.0
 
+    # the beta node goes through the one CDF dispatcher, KS included
+    import math
+
+    beta = EVALUATORS["betaDistribution"](2, 5)
+    v, c = np.array([0.1, 0.2, 0.5]), np.array([1.0, 2.0, 3.0])
+    cdf = sum(math.comb(6, j) * v**j * (1 - v) ** (6 - j) for j in range(2, 7))
+    cum = np.cumsum(c) / c.sum()
+    want = np.maximum(np.abs(cum - cdf), np.abs(cum - c / c.sum() - cdf)).max()
+    assert abs(EVALUATORS["kolmogorovSmirnov"](beta, v, c) - want) < 1e-12
+    with pytest.raises(ValueError):
+        EVALUATORS["betaDistribution"](2.5, 5)
+
 
 def test_new_similarity_members_monotone_and_positive():
     """dfr_gb / dfr_gl / ib_ll_ttf / ib_ll_h2: scores strictly positive,
